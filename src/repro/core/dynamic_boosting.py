@@ -28,7 +28,7 @@ enlarges the preserved subgraph and keeps the oracle calls intact.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -65,55 +65,57 @@ class SamplingOracleDriver:
         self.patience = patience
 
     # -- sampling helpers ----------------------------------------------------
-    # ``random.choice(seq)`` is exactly ``seq[rng._randbelow(len(seq))]``;
-    # drawing through ``_randbelow`` directly skips one interpreter frame per
-    # structure per iteration (the samplers dominate the dynamic-stack
-    # profile) while consuming the identical random stream.
+    # Every sampling round makes one bounded draw per non-empty structure, in
+    # structure-dict order, whether or not the sample is then used (the RNG
+    # contract in ARCHITECTURE.md).  The draw is CPython's
+    # ``_randbelow_with_getrandbits`` inlined -- ``k = n.bit_length()`` bits,
+    # redrawn while ``>= n`` -- so it consumes exactly the stream
+    # ``random.choice`` would, at one C call per accepted draw, and the
+    # memoised per-structure vertex lists are read without a method call.
+    # Both samplers iterate the live dict view: sampling never mutates the
+    # structure set.
     def _sample_outer_per_structure(self, state: PhaseState) -> List[int]:
-        # iterating the live dict view is safe here (sampling never mutates
-        # the structure set) and skips the defensive copy live_structures()
-        # pays for callers that do
-        randbelow = self.rng._randbelow
+        getrandbits = self.rng.getrandbits
         sampled = []
         for structure in state.structures.values():
-            outs = structure.outer_vertices()
-            if outs:
-                sampled.append(outs[randbelow(len(outs))])
-        return sampled
-
-    def _sample_vertex_per_structure(self, state: PhaseState) -> List[int]:
-        randbelow = self.rng._randbelow
-        sampled = []
-        for structure in state.structures.values():
-            if structure.g_vertices:
-                verts = structure.sorted_vertices()
-                sampled.append(verts[randbelow(len(verts))])
+            outs = structure._outer_cache or structure.outer_vertices()
+            n = len(outs)
+            if n:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                sampled.append(outs[r])
         return sampled
 
     @staticmethod
-    def _stage_eligible(state: PhaseState, stage: int) -> bool:
-        """Whether any structure can extend at this stage (Section 6.6).
+    def _eligible_stages(state: PhaseState) -> Set[int]:
+        """The stages at which some structure can extend (Section 6.6).
 
-        A stage can only produce overtakes out of an eligible working vertex
-        (:meth:`PhaseState.eligible_working`); when no structure qualifies,
-        the whole sampling loop (and the in-structure sweep, which tests the
-        same condition per structure) is a guaranteed no-op, so the driver
-        skips the stage.  Most stages of a warm-started rebuild are skipped
-        this way.
+        A structure is eligible at one stage only, the distance of its
+        working vertex (:meth:`PhaseState.eligible_working`).  A stage with
+        no eligible structure can perform no overtake, so the driver skips
+        its in-structure sweep and sampling loop.  Only an overtake changes
+        eligibility, so the set stays valid until a stage performs one.
         """
-        eligible = state.eligible_working
+        vlabel = state.vlabel
+        stages = set()
         for structure in state.structures.values():
-            if eligible(structure, stage):
-                return True
-        return False
+            w = structure.working
+            if w is None or structure.on_hold or structure.extended:
+                continue
+            parent = w.parent
+            stages.add(0 if parent is None else vlabel[parent.vertices[0]])
+        return stages
 
     # -- Section 6.6 ---------------------------------------------------------
     def extend_active_path(self, state: PhaseState) -> None:
+        eligible = self._eligible_stages(state)
         for stage in self.profile.stages():
             state.counters.add("stages")
-            if not self._stage_eligible(state, stage):
+            if stage not in eligible:
                 continue
-            self._in_structure_overtakes(state, stage)
+            overtook = self._in_structure_overtakes(state, stage)
             misses = 0
             for _it in range(self.iterations):
                 left, right = self._stage_sample(state, stage)
@@ -124,9 +126,10 @@ class SamplingOracleDriver:
                                                           self.profile.delta)
                 performed = 0
                 if result:
+                    left_set = set(left)
                     for x, y in result:
                         # orient the arc: x must be the outer/working endpoint
-                        if x not in set(left):
+                        if x not in left_set:
                             x, y = y, x
                         nu = state.omega(x)
                         if (state.arc_type(x, y) == 3 and nu is not None
@@ -139,18 +142,23 @@ class SamplingOracleDriver:
                         break
                 else:
                     misses = 0
+                    overtook = True
+            if overtook:
+                eligible = self._eligible_stages(state)
 
-    def _in_structure_overtakes(self, state: PhaseState, stage: int) -> None:
+    def _in_structure_overtakes(self, state: PhaseState, stage: int) -> bool:
         """Maintain Invariant 6.10: no s-feasible arc stays inside a structure.
 
-        The kernel engine replaces the per-neighbour membership filter with
-        one AND of the packed adjacency row against the structure's packed
-        member mask; the surviving candidates come out in the same ascending
-        order the scalar walk tests them in, so both engines perform the
-        identical first overtake.
+        Returns whether any overtake was performed.  The kernel engine
+        replaces the per-neighbour membership filter with one AND of the
+        packed adjacency row against the structure's packed member mask; the
+        surviving candidates come out in the same ascending order the scalar
+        walk tests them in, so both engines perform the identical first
+        overtake.
         """
         packed = (state.packed_adjacency() if state.engine == "kernel"
                   else None)
+        overtook = False
         for structure in state.live_structures():
             if not state.eligible_working(structure, stage):
                 continue
@@ -170,26 +178,47 @@ class SamplingOracleDriver:
                     if state.arc_type(x, y) == 3:
                         overtake_op(state, x, y, stage + 1)
                         state.counters.add("in_structure_overtakes")
-                        done = True
+                        done = overtook = True
                         break
+        return overtook
 
     def _stage_sample(self, state: PhaseState, stage: int) -> Tuple[List[int], List[int]]:
-        """Build the sampled query sets (outer side, inner side) for a stage."""
-        sampled = self._sample_vertex_per_structure(state)
+        """Build the sampled query sets (outer side, inner side) for a stage.
+
+        One pass draws a vertex per structure and sorts it: an outer vertex
+        that is its structure's eligible working vertex goes left, an inner
+        vertex whose label exceeds ``stage + 1`` goes right, anything else
+        is dropped (its draw still counts).
+        """
+        getrandbits = self.rng.getrandbits
+        node_of = state.node_of
+        vlabel = state.vlabel
         left: List[int] = []
         right: List[int] = []
-        for v in sampled:
-            node = state.omega(v)
+        for structure in state.structures.values():
+            verts = structure._sorted_cache or structure.sorted_vertices()
+            n = len(verts)
+            if not n:
+                continue
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            v = verts[r]
+            node = node_of[v]
             if node is None:
                 continue
-            structure = node.structure
             if node.outer:
-                if (structure.working is node
-                        and state.eligible_working(structure, stage)):
-                    left.append(v)
-            else:
-                if state.label_of_vertex(v) > stage + 1:
-                    right.append(v)
+                # PhaseState.eligible_working inlined for the working vertex
+                owner = node.structure
+                if (owner.working is node and not owner.on_hold
+                        and not owner.extended):
+                    parent = node.parent
+                    if (stage == 0 if parent is None
+                            else vlabel[parent.vertices[0]] == stage):
+                        left.append(v)
+            elif vlabel[v] > stage + 1:
+                right.append(v)
         if not left:
             # the caller stops on an empty side; don't pay for the other one
             return left, []

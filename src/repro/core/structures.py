@@ -377,10 +377,22 @@ class PhaseState:
         """Create the single-vertex structure of every free vertex (Alg. 2, l.3)."""
         free = (self.context.free_vertices() if self.context is not None
                 else self.matching.free_vertices())
+        if not free:
+            return
+        # register_node in bulk: one write per mirror array for all roots
+        structures = self.structures
+        node_of = self.node_of
+        ids = []
         for alpha in free:
-            structure = Structure(alpha)
-            self.structures[alpha] = structure
-            self.register_node(structure.root)
+            structure = structures[alpha] = Structure(alpha)
+            root = node_of[alpha] = structure.root
+            ids.append(root.id)
+        if self._use_arrays:
+            self.nid_arr[free] = ids
+            self.outer_arr[free] = True
+            self.sid_arr[free] = free
+        if self.context is not None:
+            self.context._touched.extend(free)
 
     # -------------------------------------------------- state mutation funnel
     def register_node(self, node: StructNode) -> None:
@@ -586,9 +598,10 @@ class PhaseState:
         it has a working vertex, is neither on hold nor already extended in
         this pass-bundle, and the working vertex's distance equals ``stage``.
 
-        The single source of truth for the stage filter -- the stage-graph
-        builder, the sampling driver's stage skip/in-structure sweep and the
-        stage sampler all share it.
+        The definition of the stage filter.  The stage-graph builder calls
+        it; the sampling driver inlines it in its per-round hot loops
+        (``SamplingOracleDriver._eligible_stages`` and ``_stage_sample``),
+        so a change here must be made there too.
         """
         w = structure.working
         if w is None or structure.on_hold or structure.extended:

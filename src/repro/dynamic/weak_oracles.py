@@ -144,7 +144,8 @@ class OMvWeakOracle(WeakOracle):
     def query_bipartite(self, left: Sequence[int], right: Sequence[int],
                         delta: float) -> Optional[List[Edge]]:
         left = list(dict.fromkeys(left))
-        right = [v for v in dict.fromkeys(right) if v not in set(left)]
+        left_set = set(left)
+        right = [v for v in dict.fromkeys(right) if v not in left_set]
         if not left or not right:
             return None
         result = maximal_matching_via_omv(self.omv, left, right,

@@ -1,5 +1,7 @@
 """Tests for the concrete Aweak implementations (Definition 6.1)."""
 
+import pytest
+
 from repro.graph.generators import erdos_renyi, planted_matching
 from repro.instrumentation.counters import Counters
 from repro.matching.blossom import maximum_matching_size
@@ -80,6 +82,24 @@ class TestOMvOracle:
             for u, v in result:
                 assert g.has_edge(u, v)
                 assert u in set(left) and v in set(right)
+
+    @pytest.mark.parametrize("n", (24, 1200))  # scalar and packed OMv paths
+    def test_bipartite_query_with_overlapping_sides(self, n):
+        g = erdos_renyi(n, min(1.0, 12 / n), seed=5)
+        oracle = OMvWeakOracle(g)
+        left = list(range(0, n, 2)) + list(range(1, n // 2, 2))
+        right = list(range(1, n, 2))
+        result = oracle.query_bipartite(left, right, 0.1)
+        assert result
+        left_set = set(left)
+        right_only = set(right) - left_set
+        used_right = set()
+        for u, v in result:
+            assert g.has_edge(u, v)
+            assert u in left_set
+            assert v in right_only, f"left vertex {v} used as a right endpoint"
+            assert v not in used_right
+            used_right.add(v)
 
     def test_plain_query_projects_to_matching(self):
         g = erdos_renyi(16, 0.3, seed=6)
