@@ -17,11 +17,8 @@ substituted by the simulator.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core.config import ParameterProfile
 from repro.workloads import planted_matching_churn
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.reporting import Table
@@ -83,19 +80,14 @@ def test_table2_omv(benchmark):
 # ------------------------------------------------------------ repro.bench
 @register("table2_omv", suite="table2", backends=("adjset", "csr"),
           description="OMv-backed weak oracle inside the dynamic maintainer: "
-                      "query/probe/update counts (kernel engine tier)")
+                      "query/probe/update counts (default practical profile)")
 def _table2_omv_scenario(spec, counters):
     eps = spec.resolved_eps()
     pairs, rounds = (8, 2) if spec.smoke else (12, 3)
     updates = planted_matching_churn(pairs, rounds=rounds, seed=spec.seed)
-    # engine="kernel" routes hot passes through the packed-bitset kernels;
-    # byte-identical to "array" (pinned by tests/test_engine_parity.py), so
-    # the counter columns stay comparable against historical records
-    profile = dataclasses.replace(ParameterProfile.practical(eps),
-                                  engine="kernel")
     alg = FullyDynamicMatching(
         updates.n, eps, counters=counters, seed=spec.seed,
-        backend=spec.backend, profile=profile,
+        backend=spec.backend,
         oracle_factory=lambda g: OMvWeakOracle(g, counters=counters))
     alg.process(updates, collect_sizes=False)
     opt = maximum_matching_size(alg.graph)

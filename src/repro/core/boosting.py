@@ -30,11 +30,6 @@ try:  # optional: the reference engine works without numpy
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
-try:  # the packed-bitset kernel tier rides on numpy too
-    from repro.core import kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    kernels = None  # type: ignore[assignment]
-
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
@@ -71,7 +66,7 @@ def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
     index = {id(s): i for i, s in enumerate(structures)}
     hprime = Graph(len(structures))
     witness: Dict[Edge, Edge] = {}
-    if state.engine in ("array", "kernel"):
+    if state.engine == "array":
         eu, ev = state.edge_arrays()
         idx = _type2_candidates(state)
         candidates = list(zip(eu[idx].tolist(), ev[idx].tolist()))
@@ -105,7 +100,7 @@ def stage_right_vertices(state: PhaseState, stage: int,
     with one boolean-mask pass; the reference engine scans ``range(n)`` in
     the same ascending order.
     """
-    if state.engine in ("array", "kernel"):
+    if state.engine == "array":
         mask = (state.matched_arr & ~state.removed_arr
                 & (state.vlabel_arr > stage + 1))
         if unvisited_only:
@@ -151,25 +146,12 @@ def build_stage_graph(state: PhaseState, stage: int) -> Tuple[Graph, Dict[Edge, 
     right_index = {v: len(left_nodes) + i for i, v in enumerate(right_vertices)}
     hs = Graph(len(left_nodes) + len(right_vertices))
     witness: Dict[Edge, Edge] = {}
-    # kernel engine: one AND sweep of the packed adjacency row against the
-    # packed right set yields the same ascending candidate list the scalar
-    # membership filter produces, without touching off-right neighbours
-    packed = state.packed_adjacency() if state.engine == "kernel" else None
-    if packed is not None:
-        right_bits = kernels.int_from_indices(right_vertices)
-    else:
-        right_set = set(right_vertices)
+    right_set = set(right_vertices)
     for node in left_nodes:
         i = left_index[id(node)]
         for x in node.vertices:
-            if packed is not None:
-                candidates = kernels.bits_of_int(
-                    state.packed_int_row(x) & right_bits)
-            else:
-                candidates = [y for y in state.sorted_neighbors(x)
-                              if y in right_set]
-            for y in candidates:
-                if state.arc_type(x, y) != 3:
+            for y in state.sorted_neighbors(x):
+                if y not in right_set or state.arc_type(x, y) != 3:
                     continue
                 j = right_index[y]
                 key = (i, j)
@@ -316,7 +298,7 @@ class BoostingFramework:
         matching = initial.copy() if initial is not None else self.initial_matching(graph)
         driver = OracleDriver(self.oracle, self.profile, rng=self.rng)
         # the graph is fixed for the whole run: share the frozen derived
-        # views (CSR / sorted neighbours / packed rows) across its phases
+        # views (CSR / sorted neighbours) across its phases
         views = FrozenViews()
         for h in self.profile.scales:
             for _t in range(self.profile.phases(h)):

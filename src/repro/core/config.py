@@ -34,6 +34,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 
+#: accepted values of :attr:`ParameterProfile.engine`
+ENGINES = ("array", "reference")
+#: accepted values of :attr:`ParameterProfile.repair`
+REPAIR_MODES = ("rebuild", "incremental")
+
+
 def _next_power_of_two_inverse(eps: float) -> float:
     """Round eps down so that 1/eps is a power of two (Section 3 assumption)."""
     if not 0 < eps <= 0.5:
@@ -99,18 +105,16 @@ class ParameterProfile:
     max_bundle_cap: int = 10 ** 9
     oracle_c: float = 2.0
     backend: Optional[str] = None
-    #: phase-engine selector: ``"array"`` (vectorized candidate generation,
-    #: the default), ``"kernel"`` (the array engine plus packed-bitset
-    #: word-parallel sweeps from :mod:`repro.core.kernels` on the hot
-    #: candidate passes; degrades to plain array behaviour when the packed
-    #: adjacency would blow the memory budget) or ``"reference"`` (the
-    #: scalar path, kept byte-identical for the parity suite; also the
-    #: fallback when NumPy is missing).  All three engines are
-    #: byte-identical -- same matchings, same counters, same rng stream.
+    #: phase-engine selector, one of :data:`ENGINES`: ``"array"``
+    #: (vectorized candidate generation, the default) or ``"reference"``
+    #: (the scalar path, kept as the parity suite's oracle; also the
+    #: fallback when NumPy is missing).  Both engines are byte-identical --
+    #: same matchings, same counters, same rng stream.
     engine: str = "array"
-    #: epoch-repair selector for the dynamic maintainers: ``"rebuild"`` (the
-    #: default -- every epoch boundary reconstructs the per-phase state from
-    #: scratch) or ``"incremental"`` (reuse a persistent
+    #: epoch-repair selector for the dynamic maintainers, one of
+    #: :data:`REPAIR_MODES`: ``"rebuild"`` (the default -- every epoch
+    #: boundary reconstructs the per-phase state from scratch) or
+    #: ``"incremental"`` (reuse a persistent
     #: :class:`~repro.core.repair.RepairContext` so a rebuild touches only
     #: the state the updates since the previous rebuild actually dirtied).
     #: Both modes execute the identical algorithm and are byte-identical --
@@ -123,6 +127,16 @@ class ParameterProfile:
     #: wholesale instead of patching (patching is O(m + k) per sync; past
     #: this point the wholesale O(m log m) rebuild is cheaper and simpler)
     repair_patch_cap: int = 2048
+
+    def __post_init__(self) -> None:
+        # reject a bad selector here, before any maintainer holds the
+        # profile: the phase that would notice it runs mid-update
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, "
+                             f"got {self.engine!r}")
+        if self.repair not in REPAIR_MODES:
+            raise ValueError(f"repair mode must be one of {REPAIR_MODES}, "
+                             f"got {self.repair!r}")
 
     # ------------------------------------------------------------ constructors
     @classmethod

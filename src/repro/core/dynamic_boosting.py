@@ -32,11 +32,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
-
-try:  # the packed-bitset kernel tier needs numpy
-    from repro.core import kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    kernels = None  # type: ignore[assignment]
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.boosting import stage_right_vertices
@@ -149,15 +144,8 @@ class SamplingOracleDriver:
     def _in_structure_overtakes(self, state: PhaseState, stage: int) -> bool:
         """Maintain Invariant 6.10: no s-feasible arc stays inside a structure.
 
-        Returns whether any overtake was performed.  The kernel engine
-        replaces the per-neighbour membership filter with one AND of the
-        packed adjacency row against the structure's packed member mask; the
-        surviving candidates come out in the same ascending order the scalar
-        walk tests them in, so both engines perform the identical first
-        overtake.
+        Returns whether any overtake was performed.
         """
-        packed = (state.packed_adjacency() if state.engine == "kernel"
-                  else None)
         overtook = False
         for structure in state.live_structures():
             if not state.eligible_working(structure, stage):
@@ -167,15 +155,10 @@ class SamplingOracleDriver:
             for x in list(w.vertices):
                 if done:
                     break
-                if packed is not None:
-                    candidates = kernels.bits_of_int(
-                        state.packed_int_row(x) & structure.member_bits())
-                else:
-                    candidates = [y for y in state.sorted_neighbors(x)
-                                  if (node_y := state.omega(y)) is not None
-                                  and node_y.structure is structure]
-                for y in candidates:
-                    if state.arc_type(x, y) == 3:
+                for y in state.sorted_neighbors(x):
+                    node_y = state.omega(y)
+                    if (node_y is not None and node_y.structure is structure
+                            and state.arc_type(x, y) == 3):
                         overtake_op(state, x, y, stage + 1)
                         state.counters.add("in_structure_overtakes")
                         done = overtook = True

@@ -1,12 +1,12 @@
-"""Packed-bitset kernel tier: word-parallel primitives for the hot paths.
+"""Packed-bitset rows: the word-parallel primitives behind the OMv substrate.
 
-The OMv substrate proved the payoff of packing Boolean rows into machine
-words ("an honest ~64x constant factor"); this module generalises that trick
-into a reusable kernel library the rest of the stack can build on.  The
-design follows the layout-first mindset of the 2.5D sparse-matmul
-decomposition (PAPERS.md): commit to a data layout -- here little-endian
-uint64 words, bit ``j`` of a length-``n`` set living at word ``j >> 6``,
-offset ``j & 63`` -- and the operations fall out as word-parallel primitives.
+:class:`repro.dynamic.omv.OMvMatrix` packs each Boolean row into machine
+words ("an honest ~64x constant factor"); this module holds the primitives
+it reads and writes those rows with.  The design follows the layout-first
+mindset of the 2.5D sparse-matmul decomposition (PAPERS.md): commit to a
+data layout -- here little-endian uint64 words, bit ``j`` of a length-``n``
+set living at word ``j >> 6``, offset ``j & 63`` -- and the operations fall
+out as word-parallel primitives.
 
 Layout contract
 ---------------
@@ -21,37 +21,11 @@ Layout contract
   words are viewed as ``uint16`` quads, gathered through the table and
   summed, which keeps the working set at 64 KiB instead of a 2^64 table or a
   per-bit loop.
-
-Backend selection
------------------
-``REPRO_KERNEL_BACKEND`` picks the implementation tier:
-
-* ``"numpy"`` -- the vectorized NumPy kernels below (always available);
-* ``"numba"`` -- JIT-compiled versions of the scan kernels, used only when
-  the ``numba`` package imports cleanly; on hosts without it the selection
-  *silently* degrades to ``"numpy"`` (byte-identical results, the bench
-  records which backend actually ran via :func:`active_backend`);
-* ``"auto"`` (default) -- ``"numba"`` if importable, else ``"numpy"``.
-
-Byte-identity across backends is a hard contract: every kernel returns
-bit-for-bit identical outputs under either backend (pinned by
-``tests/test_kernels.py``), so flipping the env var can never change a
-matching, a counter, or an epoch boundary.
-
-Timing registry
----------------
-Each public kernel is wrapped by :func:`_timed`; when timing is enabled
-(:func:`enable_timing`, done by ``repro.bench --profile``) every call
-accumulates ``(calls, total_ns)`` into :data:`KERNEL_TIMINGS` so the
-profiler can append a per-kernel table to the hotspot report.  Disabled
-(the default) the overhead is one branch per call.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -69,92 +43,6 @@ POPCOUNT16: np.ndarray = (
     .sum(axis=1)
     .astype(np.uint16)
 )
-
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-_REQUESTED = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numpy", "numba"):
-    raise ValueError(
-        f"REPRO_KERNEL_BACKEND must be 'auto', 'numpy' or 'numba', "
-        f"got {_REQUESTED!r}")
-
-_numba = None
-if _REQUESTED in ("auto", "numba"):
-    try:  # pragma: no cover - numba is absent on the CI image
-        import numba as _numba  # type: ignore[no-redef]
-    except ImportError:
-        # the silent fallback the tier promises: absent compiler, identical
-        # results, no warning spam on every import
-        _numba = None
-
-_ACTIVE = "numba" if _numba is not None else "numpy"
-
-
-def active_backend() -> str:
-    """The kernel backend actually in use (``"numpy"`` or ``"numba"``)."""
-    return _ACTIVE
-
-
-def requested_backend() -> str:
-    """What ``REPRO_KERNEL_BACKEND`` asked for (before auto-detection)."""
-    return _REQUESTED
-
-
-# --------------------------------------------------------------------------
-# timing registry
-# --------------------------------------------------------------------------
-
-#: kernel name -> [calls, total_ns]; mutated only while timing is enabled
-KERNEL_TIMINGS: Dict[str, List[int]] = {}
-
-_TIMING_ENABLED = False
-
-
-def enable_timing(enabled: bool = True) -> None:
-    """Toggle per-kernel call/ns accumulation (used by ``--profile``)."""
-    global _TIMING_ENABLED
-    _TIMING_ENABLED = enabled
-
-
-def reset_timings() -> None:
-    KERNEL_TIMINGS.clear()
-
-
-def timing_table() -> List[Tuple[str, int, int]]:
-    """Snapshot of the registry as ``(kernel, calls, total_ns)`` rows,
-    descending by total time."""
-    rows = [(name, calls, ns) for name, (calls, ns) in KERNEL_TIMINGS.items()]
-    rows.sort(key=lambda row: (-row[2], row[0]))
-    return rows
-
-
-def _timed(fn: Callable) -> Callable:
-    """Wrap a kernel with the (branch-guarded) timing accumulator.
-
-    Applied *outside* :func:`~repro.utils.contracts.hot_path` so the tag
-    lands on the real kernel body, per the contracts-module rule.
-    """
-    name = fn.__name__
-
-    def wrapper(*args, **kwargs):
-        if not _TIMING_ENABLED:
-            return fn(*args, **kwargs)
-        start = time.perf_counter_ns()
-        out = fn(*args, **kwargs)
-        cell = KERNEL_TIMINGS.get(name)
-        if cell is None:
-            cell = KERNEL_TIMINGS[name] = [0, 0]
-        cell[0] += 1
-        cell[1] += time.perf_counter_ns() - start
-        return out
-
-    wrapper.__name__ = name
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
-    return wrapper
-
 
 # --------------------------------------------------------------------------
 # layout primitives
@@ -209,11 +97,6 @@ def pack_indices(indices, n: int) -> np.ndarray:
     return words
 
 
-def set_bit(words: np.ndarray, j: int) -> None:
-    """Set bit ``j`` in a packed set, in place (O(1))."""
-    words[j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-
-
 def clear_bit(words: np.ndarray, j: int) -> None:
     """Clear bit ``j`` in a packed set, in place (O(1))."""
     words[j >> 6] &= ~(np.uint64(1) << np.uint64(j & 63))
@@ -225,19 +108,32 @@ def test_bit(words: np.ndarray, j: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# word-parallel kernels (numpy backend)
+# word-parallel kernels
 # --------------------------------------------------------------------------
 
-def _popcount_words_np(words: np.ndarray) -> int:
-    quads = words.view("<u2")
-    return int(POPCOUNT16[quads].sum())
+@hot_path
+def popcount_words(words: np.ndarray) -> int:
+    """Total number of set bits in a packed set (16-bit lookup table)."""
+    return int(POPCOUNT16[words.view("<u2")].sum())
 
 
-def _any_and_rows_np(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+@hot_path
+def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row predicate ``(row & mask) != 0`` over a packed matrix.
+
+    This is the masked matrix product of the OMv query: row ``i`` of
+    ``M v`` is 1 iff the packed row intersects the packed indicator.
+    """
     return (rows & mask[None, :]).any(axis=1)
 
 
-def _first_set_bits_np(rows: np.ndarray) -> np.ndarray:
+def first_set_bits(rows: np.ndarray) -> np.ndarray:
+    """Lowest set bit position per row of a packed matrix; -1 for empty rows.
+
+    Because the layout is little-endian, the lowest set bit is the *minimum*
+    element of the set -- exactly the deterministic choice the scalar scans
+    make, which is what keeps the OMv extractor byte-identical to them.
+    """
     nonzero = rows != 0
     has_any = nonzero.any(axis=1)
     word_idx = nonzero.argmax(axis=1)
@@ -252,84 +148,6 @@ def _first_set_bits_np(rows: np.ndarray) -> np.ndarray:
     return np.where(has_any, first, np.int64(-1))
 
 
-if _numba is not None:  # pragma: no cover - numba absent on the CI image
-    # Compiled scan kernels: identical arithmetic, loop-level fusion.  The
-    # dispatch below guarantees byte-identity because both tiers compute
-    # the same words -> the same integers.
-    @_numba.njit(cache=True)
-    def _popcount_words_nb(words):  # type: ignore[misc]
-        total = 0
-        for w in words:
-            x = np.uint64(w)
-            while x:
-                x &= x - np.uint64(1)
-                total += 1
-        return total
-
-    @_numba.njit(cache=True)
-    def _any_and_rows_nb(rows, mask):  # type: ignore[misc]
-        out = np.zeros(rows.shape[0], dtype=np.bool_)
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                if rows[i, j] & mask[j]:
-                    out[i] = True
-                    break
-        return out
-
-    @_numba.njit(cache=True)
-    def _first_set_bits_nb(rows):  # type: ignore[misc]
-        out = np.full(rows.shape[0], -1, dtype=np.int64)
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                w = rows[i, j]
-                if w:
-                    offset = 0
-                    while not (w >> np.uint64(offset)) & np.uint64(1):
-                        offset += 1
-                    out[i] = (j << 6) + offset
-                    break
-        return out
-
-    _popcount_impl = _popcount_words_nb
-    _any_and_impl = _any_and_rows_nb
-    _first_set_impl = _first_set_bits_nb
-else:
-    _popcount_impl = _popcount_words_np
-    _any_and_impl = _any_and_rows_np
-    _first_set_impl = _first_set_bits_np
-
-
-@_timed
-@hot_path
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a packed set (16-bit-LUT or compiled)."""
-    return _popcount_impl(words)
-
-
-@_timed
-@hot_path
-def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row predicate ``(row & mask) != 0`` over a packed matrix.
-
-    This is the masked matrix product of the OMv query: row ``i`` of
-    ``M v`` is 1 iff the packed row intersects the packed indicator.
-    """
-    return _any_and_impl(rows, mask)
-
-
-@_timed
-@hot_path
-def first_set_bits(rows: np.ndarray) -> np.ndarray:
-    """Lowest set bit position per row of a packed matrix; -1 for empty rows.
-
-    Because the layout is little-endian, the lowest set bit is the *minimum*
-    element of the set -- exactly the deterministic choice the scalar scans
-    make, which is what keeps the kernel tier byte-identical.
-    """
-    return _first_set_impl(rows)
-
-
-@_timed
 @hot_path
 def first_set_bit(words: np.ndarray) -> int:
     """Lowest set bit of a single packed set (-1 if empty)."""
@@ -338,18 +156,16 @@ def first_set_bit(words: np.ndarray) -> int:
         if not as_int:
             return -1
         return (as_int & -as_int).bit_length() - 1
-    return int(_first_set_impl(words.reshape(1, -1))[0])
+    return int(first_set_bits(words.reshape(1, -1))[0])
 
 
-@_timed
 @hot_path
 def and_words(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
               ) -> np.ndarray:
-    """Word-parallel intersection ``a & b`` (named kernel for the profiler)."""
+    """Word-parallel intersection ``a & b``."""
     return np.bitwise_and(a, b, out=out)
 
 
-@_timed
 @hot_path
 def andnot_words(a: np.ndarray, b: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -357,7 +173,6 @@ def andnot_words(a: np.ndarray, b: np.ndarray,
     return np.bitwise_and(a, np.bitwise_not(b), out=out)
 
 
-@_timed
 def iter_set_bits(words: np.ndarray) -> List[int]:
     """Ascending bit positions of a packed set.
 
@@ -381,56 +196,6 @@ def iter_set_bits(words: np.ndarray) -> List[int]:
     return out
 
 
-# --------------------------------------------------------------------------
-# int tier: row-at-a-time sweeps on arbitrary-precision ints
-# --------------------------------------------------------------------------
-# CPython bigints are themselves packed word arrays with C-level bitwise
-# ops, but without numpy's per-call dispatch overhead -- for one-row-wide
-# sweeps (the phase engine's candidate scans) they are the faster packed
-# representation at every universe size the budget gate admits.  The
-# uint64 rows stay the storage/batch/patching format; these helpers are
-# the boundary between the two.  They sit below the timing registry's
-# granularity (per-candidate calls), so they are deliberately un-_timed.
-
-def int_from_words(words: np.ndarray) -> int:
-    """The packed set as one int (same little-endian bit numbering)."""
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def int_from_indices(indices) -> int:
-    """Indicator int of an index collection (int-tier ``pack_indices``).
-
-    Small collections fold shifts directly; wide ones (the stage graphs'
-    right sets) scatter into a byte mask and let ``packbits`` do the
-    packing, which amortises the per-index bigint reallocations away.
-    """
-    if len(indices) > 32:
-        arr = np.asarray(indices, dtype=np.int64)
-        mask = np.zeros(int(arr.max()) + 1, dtype=np.uint8)
-        mask[arr] = 1
-        return int.from_bytes(
-            np.packbits(mask, bitorder="little").tobytes(), "little")
-    acc = 0
-    for j in indices:
-        acc |= 1 << int(j)
-    return acc
-
-
-def bits_of_int(as_int: int) -> List[int]:
-    """Ascending bit positions of an indicator int.
-
-    ``x & -x`` isolates the lowest set bit -- the minimum element -- so the
-    output order matches the scalar reference walk's candidate order.
-    """
-    out: List[int] = []
-    while as_int:
-        low = as_int & -as_int
-        out.append(low.bit_length() - 1)
-        as_int ^= low
-    return out
-
-
-@_timed
 def select_bits(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Boolean gather: whether each of ``indices`` is set in the packed set.
 
@@ -441,46 +206,3 @@ def select_bits(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
     gathered = words[idx >> 6]
     return ((gathered >> (idx & 63).astype(np.uint64)) & np.uint64(1)
             ).astype(bool)
-
-
-def pack_adjacency(indptr: np.ndarray, indices: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Packed adjacency matrix from a CSR view (one-time boundary pack).
-
-    Returns an ``(n, words_for(n))`` uint64 matrix; row ``v`` is the packed
-    neighbour set of ``v``.  O(n^2/64) memory -- callers gate on
-    :func:`packing_budget_ok` before paying it.
-    """
-    nwords = words_for(n)
-    if nwords <= SCALAR_WORDS_MAX:
-        row_bytes = nwords << 3
-        buf = bytearray(n * row_bytes)
-        ptr = np.asarray(indptr).tolist()
-        cols = np.asarray(indices).tolist()
-        for v in range(n):
-            acc = 0
-            for j in cols[ptr[v]:ptr[v + 1]]:
-                acc |= 1 << j
-            if acc:
-                buf[v * row_bytes:(v + 1) * row_bytes] = acc.to_bytes(
-                    row_bytes, "little")
-        return np.frombuffer(bytes(buf),
-                             dtype="<u8").reshape(n, nwords).copy()
-    words = np.zeros((n, nwords), dtype=np.uint64)
-    if indices.size:
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        cols = indices.astype(np.int64, copy=False)
-        np.bitwise_or.at(words, (src, cols >> 6),
-                         np.uint64(1) << (cols & 63).astype(np.uint64))
-    return words
-
-
-#: default ceiling on the packed-adjacency universe: 1 << 14 vertices packs
-#: into 32 MiB of words; beyond that the kernel engine falls back to the
-#: array-tier scan (byte-identical either way)
-PACKED_ADJACENCY_MAX_N = 1 << 14
-
-
-def packing_budget_ok(n: int, limit: int = PACKED_ADJACENCY_MAX_N) -> bool:
-    """Whether an ``n``-vertex packed adjacency fits the memory budget."""
-    return 0 < n <= limit

@@ -59,11 +59,6 @@ from repro.matching.matching import Matching
 from repro.core.config import ParameterProfile
 from repro.utils.contracts import hot_path
 
-try:  # the packed-bitset kernel tier needs numpy (like the context itself)
-    from repro.core import kernels as _kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _kernels = None  # type: ignore[assignment]
-
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - the image bakes numpy in
@@ -152,7 +147,6 @@ class RepairContext:
         self._indices = None
         self._edge_pairs: Optional[List[Edge]] = None
         self._nbrs: Dict[int, List[int]] = {}
-        self._packed_adj = None    # packed adjacency rows (kernel engine)
         # pending[key] = True (insert) / False (delete) relative to the
         # synced views; a change that toggles an edge back to its synced
         # state removes the entry, so len(_pending) is the true dirty count
@@ -230,7 +224,6 @@ class RepairContext:
         self._indices = None
         self._edge_pairs = None
         self._nbrs.clear()
-        self._packed_adj = None
         self._pending.clear()
 
     # ------------------------------------------------------------ view syncing
@@ -257,7 +250,6 @@ class RepairContext:
         self._indices = None
         self._edge_pairs = None
         self._nbrs.clear()
-        self._packed_adj = None  # repacked lazily on first packed_adjacency()
         self._pending.clear()
         self.stats["wholesale_compiles"] += 1
 
@@ -287,18 +279,6 @@ class RepairContext:
         self._edge_pairs = None
         if self._indptr is not None:
             self._patch_csr(dele, ins)
-        if self._packed_adj is not None:
-            # each pending edge touches exactly two packed rows: O(k) bit
-            # flips keep the kernel view in step with the patched CSR
-            words = self._packed_adj
-            for k in dele:
-                u, v = divmod(k, self.n)
-                _kernels.clear_bit(words[u], v)
-                _kernels.clear_bit(words[v], u)
-            for k in ins:
-                u, v = divmod(k, self.n)
-                _kernels.set_bit(words[u], v)
-                _kernels.set_bit(words[v], u)
         touched = set()
         for k in pending:
             touched.add(k // self.n)
@@ -381,22 +361,6 @@ class RepairContext:
             nbrs = self._nbrs[v] = indices[indptr[v]:indptr[v + 1]].tolist()
         return nbrs
 
-    def packed_adjacency(self):
-        """Packed uint64 adjacency rows (kernel engine), or ``None``.
-
-        Built once from the synced CSR when the packing budget allows it,
-        then *patched* bit-wise alongside the other frozen views -- a kernel
-        phase after a handful of updates pays O(k) bit flips, not an O(m)
-        repack.
-        """
-        self._sync_views()
-        if self._packed_adj is None:
-            if _kernels is None or not _kernels.packing_budget_ok(self.n):
-                return None
-            indptr, indices = self.adjacency()
-            self._packed_adj = _kernels.pack_adjacency(indptr, indices, self.n)
-        return self._packed_adj
-
     # ------------------------------------------------------------ attach cycle
     def attach(self, state) -> None:
         """Lend the persistent per-vertex state to ``state`` (one phase)."""
@@ -474,12 +438,6 @@ class RepairContext:
             for v, nbrs in self._nbrs.items():
                 assert nbrs == indices[indptr[v]:indptr[v + 1]].tolist(), \
                     f"stale neighbour memo for vertex {v}"
-        if self._packed_adj is not None:
-            indptr, indices = self.adjacency()
-            for v in range(self.n):
-                assert (_kernels.iter_set_bits(self._packed_adj[v])
-                        == indices[indptr[v]:indptr[v + 1]].tolist()), \
-                    f"patched packed adjacency row {v} diverged"
 
     def verify_baseline(self) -> None:
         """Test helper: the per-vertex state must be at the clean baseline."""

@@ -37,11 +37,7 @@ try:  # NumPy is optional: without it PhaseState falls back to scalar state
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None  # type: ignore[assignment]
 
-try:  # the packed-bitset kernel tier rides on numpy too
-    from repro.core import kernels as _kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _kernels = None  # type: ignore[assignment]
-
+from repro.core.config import ENGINES
 from repro.graph.backends import compile_csr
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -149,8 +145,7 @@ class Structure:
 
     __slots__ = ("alpha", "root", "working", "nodes", "g_vertices",
                  "on_hold", "modified", "extended",
-                 "_outer_cache", "_sorted_cache",
-                 "_outer_bits", "_member_bits")
+                 "_outer_cache", "_sorted_cache")
 
     def __init__(self, alpha: int) -> None:
         self.alpha = alpha
@@ -163,8 +158,6 @@ class Structure:
         self.extended = False
         self._outer_cache: Optional[List[int]] = None
         self._sorted_cache: Optional[List[int]] = None
-        self._outer_bits: Optional[int] = None
-        self._member_bits: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -208,32 +201,10 @@ class Structure:
             out = self._sorted_cache = sorted(self.g_vertices)
         return out
 
-    def outer_bits(self) -> int:
-        """Indicator int of :meth:`outer_vertices` (kernel engine only).
-
-        Memoised alongside the list view and invalidated by the same
-        :meth:`invalidate_caches` call, so the two can never disagree.
-        """
-        bits = self._outer_bits
-        if bits is None:
-            bits = self._outer_bits = _kernels.int_from_indices(
-                self.outer_vertices())
-        return bits
-
-    def member_bits(self) -> int:
-        """Indicator int of ``g_vertices`` (kernel engine only)."""
-        bits = self._member_bits
-        if bits is None:
-            bits = self._member_bits = _kernels.int_from_indices(
-                self.sorted_vertices())
-        return bits
-
     def invalidate_caches(self) -> None:
         """Drop memoised vertex views (call after membership/flag changes)."""
         self._outer_cache = None
         self._sorted_cache = None
-        self._outer_bits = None
-        self._member_bits = None
 
     def reset_marks(self, limit: int) -> None:
         """Per-pass-bundle initialisation (Algorithm 2, lines 6-9)."""
@@ -260,17 +231,15 @@ class FrozenViews:
     ``run_phase`` freezes the graph, and the boosting frameworks run many
     phases over the *same* fixed graph before it next mutates -- so the
     deterministic derived views (canonical edge pairs, CSR arrays, sorted
-    neighbour lists, packed kernel rows and their int-tier mirrors) can be
-    materialised once per rebuild instead of once per phase.  A framework
-    threads one instance through ``run_phase(..., shared_views=...)``; a
-    standalone phase gets a private instance and behaves exactly as before.
-    Never reuse an instance across graph mutations, and never share one
-    into a context-attached phase (the repair context patches its own
-    packed copy between phases).
+    neighbour lists) can be materialised once per rebuild instead of once
+    per phase.  A framework threads one instance through
+    ``run_phase(..., shared_views=...)``; a standalone phase gets a private
+    instance and behaves exactly as before.  Never reuse an instance across
+    graph mutations, and never share one into a context-attached phase (the
+    repair context patches its own CSR copy between phases).
     """
 
-    __slots__ = ("edge_pairs", "eu", "ev", "indptr", "indices", "nbrs",
-                 "packed", "packed_ready", "int_rows")
+    __slots__ = ("edge_pairs", "eu", "ev", "indptr", "indices", "nbrs")
 
     def __init__(self) -> None:
         self.edge_pairs: Optional[List[Edge]] = None
@@ -279,9 +248,6 @@ class FrozenViews:
         self.indptr = None
         self.indices = None
         self.nbrs: Dict[int, List[int]] = {}
-        self.packed = None
-        self.packed_ready = False
-        self.int_rows: Dict[int, int] = {}
 
 
 class PhaseState:
@@ -315,8 +281,9 @@ class PhaseState:
                  counters: Optional[Counters] = None,
                  engine: str = "array", context=None,
                  shared_views: Optional[FrozenViews] = None) -> None:
-        if engine not in ("array", "reference", "kernel"):
-            raise ValueError(f"unknown phase engine {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, "
+                             f"got {engine!r}")
         self.graph = graph
         self.matching = matching
         self.ell_max = ell_max
@@ -328,12 +295,10 @@ class PhaseState:
         self.context = context
         self.structures: Dict[int, Structure] = {}
         self.records: List[AugmentationRecord] = []
-        # frozen-graph derived views (edge pairs, CSR, sorted neighbours,
-        # packed kernel rows + int mirrors), possibly shared across the
-        # phases of one rebuild -- see FrozenViews.  Context-attached phases
-        # always get a private instance: their packed/CSR views delegate to
-        # the context's patched copies, and the int-tier row memo must stay
-        # phase-local so between-phase patches are always observed.
+        # frozen-graph derived views (edge pairs, CSR, sorted neighbours),
+        # possibly shared across the phases of one rebuild -- see
+        # FrozenViews.  Context-attached phases always get a private
+        # instance: their views delegate to the context's patched copies.
         self._views = (shared_views
                        if shared_views is not None and context is None
                        else FrozenViews())
@@ -493,44 +458,6 @@ class PhaseState:
                 nbrs = sorted(self.graph.neighbor_list(v))
             cache[v] = nbrs
         return nbrs
-
-    def packed_adjacency(self):
-        """Packed uint64 adjacency rows of the frozen phase graph, or ``None``.
-
-        The kernel engine's view: row ``v`` is the packed neighbour set of
-        ``v``, built lazily (once per phase) from the CSR view via
-        :func:`repro.core.kernels.pack_adjacency` and gated by
-        :func:`repro.core.kernels.packing_budget_ok` -- callers must fall
-        back to the array-tier scan on ``None``, which keeps the engines
-        byte-identical either way.  Context-attached phases borrow the
-        context's incrementally patched copy.
-        """
-        if self.context is not None:
-            return self.context.packed_adjacency()
-        views = self._views
-        if not views.packed_ready:
-            views.packed_ready = True
-            n = self.graph.n
-            if _kernels is not None and _kernels.packing_budget_ok(n):
-                indptr, indices = self.adjacency()
-                views.packed = _kernels.pack_adjacency(indptr, indices, n)
-        return views.packed
-
-    def packed_int_row(self, x: int) -> int:
-        """Row ``x`` of :meth:`packed_adjacency` as one indicator int.
-
-        The per-row sweep format (see the kernels module's int-tier notes):
-        callers guard on ``packed_adjacency() is not None`` first.  Each
-        touched row is converted once and memoised for as long as the views
-        live -- one phase, or a whole rebuild under shared views (a
-        context-attached phase always holds a private memo, so between-phase
-        repair patches are always observed).
-        """
-        rows = self._views.int_rows
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = _kernels.int_from_words(self.packed_adjacency()[x])
-        return row
 
     def arc_pairs(self) -> List[Edge]:
         """Both orientations of every edge, grouped by (ascending) tail."""
@@ -723,23 +650,6 @@ class PhaseState:
             if structure._sorted_cache is not None:
                 assert structure._sorted_cache == sorted(structure.g_vertices), \
                     "stale sorted-vertex cache"
-            if structure._outer_bits is not None:
-                assert (_kernels.bits_of_int(structure._outer_bits)
-                        == sorted(structure.outer_vertices())), \
-                    "stale packed outer mask"
-            if structure._member_bits is not None:
-                assert (_kernels.bits_of_int(structure._member_bits)
-                        == sorted(structure.g_vertices)), \
-                    "stale packed member mask"
-
-        # the packed adjacency (kernel engine) must mirror the CSR view
-        packed = self._views.packed if self.context is None else None
-        if packed is not None:
-            indptr, indices = self.adjacency()
-            for v in range(self.graph.n):
-                assert (_kernels.iter_set_bits(packed[v])
-                        == indices[indptr[v]:indptr[v + 1]].tolist()), \
-                    f"packed adjacency row {v} diverged from the CSR view"
 
         # scalar state and array mirrors must never diverge
         if self._use_arrays:

@@ -132,8 +132,6 @@ class OfflineDynamicMatching:
         boundaries = self.plan_epochs(updates)
         dynamic = DynamicGraph(self.n, backend=self.backend,
                                log_updates=False)
-        if self.profile.repair not in ("rebuild", "incremental"):
-            raise ValueError(f"unknown repair mode {self.profile.repair!r}")
         context: Optional[RepairContext] = None
         if self.profile.repair == "incremental" and _np is not None:
             context = RepairContext(dynamic.graph, self.profile)

@@ -46,7 +46,7 @@ class OMvMatrix:
     ``update(i, j, b)`` sets ``M[i, j] = b``; ``query(v)`` returns the Boolean
     vector ``M v`` (over the OR/AND semiring).  Work is counted in
     ``omv_updates`` / ``omv_queries`` / ``omv_query_word_ops`` (64-bit words
-    touched per query, the kernel tier's honest unit of account).
+    touched per query, the packed rows' honest unit of account).
 
     Rows follow the :mod:`repro.core.kernels` layout contract: little-endian
     uint64 words, ``pack``/``unpack`` only at boundaries, so the first set

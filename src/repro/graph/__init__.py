@@ -13,9 +13,6 @@ substrates operate on:
 * :mod:`~repro.graph.generators` -- synthetic workload generators (random
   graphs, planted matchings, paths/cycles, blossom gadgets, ORS-style layered
   induced matchings).
-* :mod:`~repro.graph.workloads` -- deprecated shim over the
-  :mod:`repro.workloads` subsystem (lazy update streams, traces, real-graph
-  ingestion), kept for the historical eager list-based API.
 * :mod:`~repro.graph.backends` -- pluggable storage backends behind
   :class:`Graph`: the default adjacency-set layout (``"adjset"``) and a
   NumPy/CSR layout (``"csr"``) with vectorized bulk operations.

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dynamic.fully_dynamic import FullyDynamicMatching, OracleFactory
 from repro.graph.dynamic_graph import Update
 from repro.instrumentation.counters import Counters
-from repro.resilience.checkpoint import DeltaCheckpointWriter, MaintainerCheckpoint
+from repro.resilience.checkpoint import MaintainerCheckpoint
 from repro.resilience.faults import FaultPlan
 
 
@@ -36,13 +36,8 @@ class RecoveryStats:
     restores: int = 0
     checkpoints: int = 0
     replayed_updates: int = 0
-    #: wall time spent capturing + persisting snapshots, in nanoseconds --
-    #: the overhead the delta-aware writer exists to shrink
+    #: wall time spent capturing + persisting snapshots, in nanoseconds
     checkpoint_ns: int = 0
-    #: sections reused verbatim / re-encoded by the delta writer (both zero
-    #: when delta snapshots are disabled)
-    sections_reused: int = 0
-    sections_encoded: int = 0
     #: per-crash update index, for debugging chaotic runs
     crash_positions: List[int] = field(default_factory=list)
 
@@ -51,9 +46,7 @@ class RecoveryStats:
                 "chaos_restores": float(self.restores),
                 "chaos_checkpoints": float(self.checkpoints),
                 "chaos_replayed_updates": float(self.replayed_updates),
-                "chaos_checkpoint_overhead_s": self.checkpoint_ns / 1e9,
-                "chaos_ckpt_sections_reused": float(self.sections_reused),
-                "chaos_ckpt_sections_encoded": float(self.sections_encoded)}
+                "chaos_checkpoint_overhead_s": self.checkpoint_ns / 1e9}
 
 
 def run_with_recovery(alg: FullyDynamicMatching,
@@ -63,7 +56,6 @@ def run_with_recovery(alg: FullyDynamicMatching,
                       checkpoint_path=None,
                       oracle_factory: Optional[OracleFactory] = None,
                       recorder=None,
-                      delta_snapshots: bool = True,
                       ) -> Tuple[FullyDynamicMatching, RecoveryStats]:
     """Drive ``alg`` over ``updates`` with crash injection and recovery.
 
@@ -96,13 +88,6 @@ def run_with_recovery(alg: FullyDynamicMatching,
         Optional :class:`repro.bench.latency.LatencyRecorder`; each
         *recovery* (checkpoint load + state reconstruction, not the replay)
         is measured through it.
-    delta_snapshots:
-        Route snapshots through a :class:`DeltaCheckpointWriter` (the
-        default), which re-captures and re-encodes only the sections whose
-        maintainer revision moved since the previous snapshot.  The captured
-        state and any file written are byte-identical either way; ``False``
-        keeps the stateless one-shot path (and is what the checkpoint parity
-        tests compare against).
 
     Returns the surviving maintainer and the :class:`RecoveryStats`; the
     time spent inside snapshotting (capture plus the optional disk write) is
@@ -115,18 +100,12 @@ def run_with_recovery(alg: FullyDynamicMatching,
     workload: List[Update] = list(stream)
     counters: Counters = alg.counters
     stats = RecoveryStats()
-    writer = DeltaCheckpointWriter() if delta_snapshots else None
 
     def take_checkpoint(position: int) -> MaintainerCheckpoint:
         start = time.perf_counter_ns()
-        if writer is not None:
-            snapshot = writer.capture(alg, position)
-            if checkpoint_path is not None:
-                writer.save(snapshot, checkpoint_path)
-        else:
-            snapshot = MaintainerCheckpoint.capture(alg, position)
-            if checkpoint_path is not None:
-                snapshot.save(checkpoint_path)
+        snapshot = MaintainerCheckpoint.capture(alg, position)
+        if checkpoint_path is not None:
+            snapshot.save(checkpoint_path)
         stats.checkpoint_ns += time.perf_counter_ns() - start
         stats.checkpoints += 1
         return snapshot
@@ -157,7 +136,4 @@ def run_with_recovery(alg: FullyDynamicMatching,
         index += 1
         if checkpoint_every and index % checkpoint_every == 0:
             latest = take_checkpoint(index)
-    if writer is not None:
-        stats.sections_reused = writer.stats["sections_reused"]
-        stats.sections_encoded = writer.stats["sections_encoded"]
     return alg, stats

@@ -6,8 +6,7 @@ is where those sequences come from:
 * :mod:`~repro.workloads.streams` -- the :class:`UpdateStream` abstraction
   (lazy, re-iterable, composable) and its combinators;
 * :mod:`~repro.workloads.sources` -- the synthetic workload families as
-  stream sources (draw-for-draw compatible with the legacy eager
-  generators, which now live on as a shim in :mod:`repro.graph.workloads`);
+  lazy stream sources;
 * :mod:`~repro.workloads.trace` -- packed int64 ``(kind, u, v)`` traces
   with save/load, for stable shareable workloads;
 * :mod:`~repro.workloads.ingest` -- SNAP-style edge-list loading and

@@ -1,15 +1,10 @@
 """Stream sources: the workload families as lazy :class:`UpdateStream`\\ s.
 
-Each source reproduces, draw for draw, the update sequence its eager
-predecessor in ``repro.graph.workloads`` produced for the same seed (the old
-module is now a thin shim over these sources, and its tests pin the
-equivalence).  The difference is *when* the work happens: a source returns
-immediately with an ``UpdateStream`` whose iterator generates updates on
-demand, so a 10^6-update scenario costs O(window) memory to replay instead
-of O(stream).
+A source returns immediately with an ``UpdateStream`` whose iterator
+generates updates on demand, so a 10^6-update scenario costs O(window)
+memory to replay instead of O(stream); ``list(stream)`` materializes it.
 
-Families (see the module docstring of :mod:`repro.graph.workloads` for the
-paper context of each):
+Families:
 
 * :func:`insertion_only` -- distinct random insertions,
 * :func:`sliding_window` -- turnstile stream, live edges bounded by the

@@ -484,14 +484,11 @@ def test_smoke_gate_all_scenarios(tmp_path):
         latency = record["latency"]
         assert {"p50", "p99", "max"} <= set(latency)
         assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
-        # snapshot overhead must be reported and the delta-aware writer
-        # must have actually reused sections (acceptance criterion)
+        # snapshot overhead must be reported (acceptance criterion)
         assert record["counters"]["chaos_checkpoint_overhead_s"] > 0
-        assert record["counters"]["chaos_ckpt_sections_reused"] > 0
 
-    # the OMv scenario runs its kernel-engine profile on both backends;
-    # engine="kernel" is pinned byte-identical to "array" by the parity
-    # suite, so every algorithm counter must agree across backends here
+    # the OMv scenario runs the default practical profile on both
+    # backends; every algorithm counter must agree across backends here
     # too (acceptance criterion)
     omv_records = [record for record in records
                    if record["scenario"] == "table2_omv"]
@@ -544,12 +541,12 @@ def test_smoke_gate_all_scenarios(tmp_path):
                         f"({r['ratio']:.2f}x)" for r in bad_latency))
 
         # ---- checkpoint-overhead gate: the chaos drill's snapshot cost
-        # (capture + delta-aware encode + disk write, summed over the run)
+        # (capture + np.savez encode + disk write, summed over the run)
         # regresses against the committed baseline.  Same ratio threshold;
         # the floor is 10ms because smoke runs take a handful of snapshots
-        # each costing about a millisecond -- a breach means the delta
-        # writer's section reuse stopped working, not jitter.  Baselines
-        # predating the metric are skipped by compare_records.
+        # each costing about a millisecond -- a breach means snapshotting
+        # picked up a per-snapshot cost it did not have, not jitter.
+        # Baselines predating the metric are skipped by compare_records.
         ckpt_rows = compare_records(baseline, records,
                                     fail_over=fail_over,
                                     metric="chaos_checkpoint_overhead_s")

@@ -1,19 +1,15 @@
-"""Parity suite: the three phase-engine tiers against each other.
+"""Parity suite: the two phase engines against each other.
 
-The phase-engine hot core has three implementations behind the
-``ParameterProfile.engine`` seam: ``"reference"`` (scalar loops),
-``"array"`` (vectorized candidate generation over the PhaseState array
-mirrors, the default) and ``"kernel"`` (the array tier with packed-bitset
-word-parallel sweeps from :mod:`repro.core.kernels` where a packed
-adjacency is available).  All walk candidates in the same deterministic
-key-sorted order -- a packed AND/ANDN sweep reads survivors in ascending
-bit order, exactly the order the scalar walk tests them -- so seeded runs
-must be *byte-identical*: same matchings, same counters, same epoch
-boundaries.  These property-style tests pin that equivalence on seeded
-random graphs and update streams, and for the kernel tier across the full
-graph-backend x repair-mode grid; any divergence means the array mirrors
-went stale, a mask dropped/added a candidate, or a packed view drifted
-from the structure lists it shadows.
+The phase-engine hot core has two implementations behind the
+``ParameterProfile.engine`` seam: ``"reference"`` (scalar loops, the test
+oracle) and ``"array"`` (vectorized candidate generation over the
+PhaseState array mirrors, the default).  Both walk candidates in the same
+deterministic key-sorted order, so seeded runs must be *byte-identical*:
+same matchings, same counters, same epoch boundaries.  These
+property-style tests pin that equivalence on seeded random graphs and
+update streams; any divergence means the array mirrors went stale or a
+mask dropped/added a candidate.  Any other engine name is rejected when
+the profile is built.
 """
 
 import dataclasses
@@ -38,8 +34,7 @@ EPS = 0.25
 
 ARRAY = ParameterProfile.practical(EPS)
 REFERENCE = dataclasses.replace(ARRAY, engine="reference")
-KERNEL = dataclasses.replace(ARRAY, engine="kernel")
-PROFILES = (ARRAY, REFERENCE, KERNEL)
+PROFILES = (ARRAY, REFERENCE)
 
 
 def mates(matching):
@@ -123,36 +118,13 @@ class TestDynamicParity:
             assert other == results[0]
 
 
-class TestKernelTierGrid:
-    """engine="kernel" vs "array" across graph backends and repair modes.
-
-    The maintainer path is where the packed views earn their keep -- the
-    incremental repair context patches packed adjacency rows in place while
-    the rebuild mode recompiles them wholesale -- so the full backend x
-    repair grid is pinned here, comparing the complete checkpoint state
-    (mates, canonical edges, counters, RNG streams, rebuild schedule).
-    """
-
-    @pytest.mark.parametrize("backend", ["adjset", "csr"])
-    @pytest.mark.parametrize("repair", ["rebuild", "incremental"])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_fully_dynamic_state_identical(self, backend, repair, seed):
-        stream = planted_matching_churn(8, rounds=2, seed=seed)
-        n, updates = stream.n, stream
-        states = []
-        for engine in ("array", "kernel"):
-            profile = dataclasses.replace(ARRAY, engine=engine,
-                                          repair=repair)
-            alg = FullyDynamicMatching(n, EPS, profile=profile,
-                                       counters=Counters(), seed=seed,
-                                       backend=backend)
-            for upd in updates:
-                alg.update(upd)
-            state = alg.checkpoint_state()
-            # the engine name itself is the only field allowed to differ
-            state.pop("profile")
-            states.append(state)
-        assert states[0] == states[1]
+class TestEngineSelector:
+    @pytest.mark.parametrize("engine", ["kernel", "bogus", ""])
+    def test_unknown_engine_rejected_at_construction(self, engine):
+        with pytest.raises(ValueError, match="engine must be one of") as exc:
+            dataclasses.replace(ARRAY, engine=engine)
+        assert "'array'" in str(exc.value)
+        assert "'reference'" in str(exc.value)
 
 
 class TestWarmStart:

@@ -1,15 +1,15 @@
-"""Unit tests for the legacy eager workload API (``repro.graph.workloads``).
+"""Contract tests for the workload stream sources (``repro.workloads``).
 
-The module is now a deprecation shim over the lazy stream sources in
-``repro.workloads``; these tests keep the historical list-based contracts
-pinned (counts, determinism, termination) and additionally pin the shim's
-draw-for-draw equivalence with the streams it wraps.
+Each source is a lazy :class:`~repro.workloads.streams.UpdateStream`; the
+tests materialize it with ``list(stream)`` and pin the contracts of every
+family: update counts and kinds, seeded determinism, termination on
+degenerate inputs, and eager parameter validation.
 """
 
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.graph.workloads import (
+from repro.workloads import (
     adversarial_matched_edge_deletions,
     insertion_only,
     ors_reveal,
@@ -20,37 +20,39 @@ from repro.graph.workloads import (
 
 class TestInsertionOnly:
     def test_counts_and_kinds(self):
-        updates = insertion_only(20, 30, seed=1)
+        updates = list(insertion_only(20, 30, seed=1))
         assert len(updates) == 30
         assert all(u.kind == Update.INSERT for u in updates)
 
     def test_no_duplicate_insertions(self):
-        updates = insertion_only(10, 40, seed=2)
+        updates = list(insertion_only(10, 40, seed=2))
         edges = [(u.u, u.v) for u in updates]
         assert len(edges) == len(set(edges))
 
     def test_applies_cleanly(self):
-        updates = insertion_only(15, 25, seed=3)
+        updates = list(insertion_only(15, 25, seed=3))
         dg = DynamicGraph(15)
         changed = dg.apply_all(updates)
         assert changed == 25
 
     def test_m_capped_at_possible_edges(self):
-        updates = insertion_only(4, 100, seed=10)
+        updates = list(insertion_only(4, 100, seed=10))
         assert len(updates) == 6  # 4*3/2 distinct edges exist
 
     def test_degenerate_n_terminates(self):
-        assert insertion_only(0, 5, seed=10) == []
-        assert insertion_only(1, 5, seed=10) == []
+        assert list(insertion_only(0, 5, seed=10)) == []
+        assert list(insertion_only(1, 5, seed=10)) == []
 
     def test_seeded_determinism(self):
-        assert insertion_only(12, 20, seed=11) == insertion_only(12, 20, seed=11)
-        assert insertion_only(12, 20, seed=11) != insertion_only(12, 20, seed=12)
+        assert list(insertion_only(12, 20, seed=11)) == \
+            list(insertion_only(12, 20, seed=11))
+        assert list(insertion_only(12, 20, seed=11)) != \
+            list(insertion_only(12, 20, seed=12))
 
 
 class TestSlidingWindow:
     def test_length_and_window_bound(self):
-        updates = sliding_window(20, 100, window=10, seed=4)
+        updates = list(sliding_window(20, 100, window=10, seed=4))
         assert len(updates) == 100
         dg = DynamicGraph(20)
         for upd in updates:
@@ -58,7 +60,7 @@ class TestSlidingWindow:
             assert dg.m <= 10
 
     def test_deletions_follow_insertions(self):
-        updates = sliding_window(10, 60, window=5, seed=5)
+        updates = list(sliding_window(10, 60, window=5, seed=5))
         dg = DynamicGraph(10)
         for upd in updates:
             if upd.kind == Update.DELETE:
@@ -67,7 +69,7 @@ class TestSlidingWindow:
 
     def test_window_exceeding_possible_edges_terminates(self):
         # used to loop forever: all 3 possible edges live, no delete due
-        updates = sliding_window(3, 10, window=10, seed=6)
+        updates = list(sliding_window(3, 10, window=10, seed=6))
         assert len(updates) == 10
         dg = DynamicGraph(3)
         for upd in updates:
@@ -75,9 +77,9 @@ class TestSlidingWindow:
             assert dg.m <= 3  # the effective window is the edge count
 
     def test_degenerate_n_terminates(self):
-        assert sliding_window(0, 10, window=4, seed=6) == []
-        assert sliding_window(1, 10, window=4, seed=6) == []
-        assert sliding_window(5, 0, window=4, seed=6) == []
+        assert list(sliding_window(0, 10, window=4, seed=6)) == []
+        assert list(sliding_window(1, 10, window=4, seed=6)) == []
+        assert list(sliding_window(5, 0, window=4, seed=6)) == []
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -86,8 +88,8 @@ class TestSlidingWindow:
             sliding_window(5, 10, window=-3)
 
     def test_seeded_determinism(self):
-        a = sliding_window(10, 50, window=7, seed=13)
-        b = sliding_window(10, 50, window=7, seed=13)
+        a = list(sliding_window(10, 50, window=7, seed=13))
+        b = list(sliding_window(10, 50, window=7, seed=13))
         assert a == b
 
 
@@ -95,7 +97,8 @@ class TestPlantedChurn:
     def test_matching_stays_large(self):
         from repro.matching.blossom import maximum_matching_size
 
-        n, updates = planted_matching_churn(12, rounds=4, seed=6)
+        stream = planted_matching_churn(12, rounds=4, seed=6)
+        n, updates = stream.n, list(stream)
         dg = DynamicGraph(n)
         dg.apply_all(updates)
         # after all churn rounds the planted matching is restored
@@ -112,15 +115,16 @@ class TestPlantedChurn:
                 planted_matching_churn(bad, rounds=1)
 
     def test_full_churn_fraction_allowed(self):
-        n, updates = planted_matching_churn(6, rounds=2, churn_fraction=1.0,
-                                            seed=7)
+        stream = planted_matching_churn(6, rounds=2, churn_fraction=1.0,
+                                        seed=7)
+        n, updates = stream.n, list(stream)
         dg = DynamicGraph(n)
         dg.apply_all(updates)
 
     def test_exact_update_counts(self):
         n_pairs, rounds, frac = 10, 3, 0.3
-        n, updates = planted_matching_churn(n_pairs, rounds=rounds,
-                                            churn_fraction=frac, seed=8)
+        updates = list(planted_matching_churn(n_pairs, rounds=rounds,
+                                              churn_fraction=frac, seed=8))
         k = max(1, int(frac * n_pairs))
         deletes = sum(1 for u in updates if u.kind == Update.DELETE)
         assert deletes == k * rounds
@@ -131,22 +135,24 @@ class TestPlantedChurn:
         assert all(u.kind == Update.INSERT for u in updates[:initial])
 
     def test_seeded_determinism(self):
-        assert planted_matching_churn(9, rounds=2, seed=21) == \
-            planted_matching_churn(9, rounds=2, seed=21)
-        assert planted_matching_churn(9, rounds=2, seed=21) != \
-            planted_matching_churn(9, rounds=2, seed=22)
+        assert list(planted_matching_churn(9, rounds=2, seed=21)) == \
+            list(planted_matching_churn(9, rounds=2, seed=21))
+        assert list(planted_matching_churn(9, rounds=2, seed=21)) != \
+            list(planted_matching_churn(9, rounds=2, seed=22))
 
 
 class TestOrsReveal:
     def test_reveal_then_remove(self):
-        n, updates = ors_reveal(40, 4, 3, seed=7)
+        stream = ors_reveal(40, 4, 3, seed=7)
+        n, updates = stream.n, list(stream)
         dg = DynamicGraph(n)
         dg.apply_all(updates)
         assert dg.m == 0  # everything inserted is deleted again
         assert dg.max_edges_seen > 0
 
     def test_seeded_determinism(self):
-        assert ors_reveal(30, 3, 3, seed=9) == ors_reveal(30, 3, 3, seed=9)
+        assert list(ors_reveal(30, 3, 3, seed=9)) == \
+            list(ors_reveal(30, 3, 3, seed=9))
 
 
 class TestAdversarial:
@@ -154,10 +160,10 @@ class TestAdversarial:
         from repro.matching.matching import Matching
 
         matching = Matching(10, [(0, 1), (2, 3)])
-        n, next_update = adversarial_matched_edge_deletions(
+        stream = adversarial_matched_edge_deletions(
             5, rounds=5, current_matching=matching.edge_list, seed=8)
-        assert n == 10
-        upd = next_update()
+        assert stream.n == 10
+        upd = next(iter(stream), None)
         assert upd is not None
         if upd.kind == Update.DELETE:
             assert matching.contains_edge(upd.u, upd.v)
@@ -166,69 +172,7 @@ class TestAdversarial:
         from repro.matching.matching import Matching
 
         matching = Matching(10, [(0, 1)])
-        _, next_update = adversarial_matched_edge_deletions(
-            5, rounds=3, current_matching=matching.edge_list, seed=9)
-        pulls = [next_update() for _ in range(10)]
+        stream = iter(adversarial_matched_edge_deletions(
+            5, rounds=3, current_matching=matching.edge_list, seed=9))
+        pulls = [next(stream, None) for _ in range(10)]
         assert any(p is None for p in pulls)
-
-
-class TestShimStreamEquivalence:
-    """The shim must return exactly what its stream source generates."""
-
-    def test_deprecation_warning_on_import(self):
-        import importlib
-        import warnings
-
-        import repro.graph.workloads as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_deprecation_warning_on_fresh_import(self):
-        # a genuinely fresh import (not a reload) must warn too: pop the
-        # cached module so the import machinery re-executes the shim
-        import sys
-
-        sys.modules.pop("repro.graph.workloads", None)
-        with pytest.warns(DeprecationWarning, match="repro.workloads"):
-            import repro.graph.workloads  # noqa: F401
-
-    def test_eager_results_match_streams(self):
-        from repro import workloads as streams
-
-        assert insertion_only(18, 25, seed=40) == \
-            list(streams.insertion_only(18, 25, seed=40))
-        assert sliding_window(12, 70, window=9, seed=41) == \
-            list(streams.sliding_window(12, 70, window=9, seed=41))
-        n, updates = planted_matching_churn(9, rounds=3, seed=42)
-        stream = streams.planted_matching_churn(9, rounds=3, seed=42)
-        assert (n, updates) == (stream.n, list(stream))
-        n, updates = ors_reveal(28, 3, 3, seed=43)
-        stream = streams.ors_reveal(28, 3, 3, seed=43)
-        assert (n, updates) == (stream.n, list(stream))
-
-    def test_adversarial_callable_matches_stream(self):
-        from repro import workloads as streams
-        from repro.matching.matching import Matching
-
-        def pulls(make_matching):
-            matching = make_matching()
-            n, next_update = adversarial_matched_edge_deletions(
-                5, rounds=4, current_matching=matching.edge_list, seed=44)
-            out = []
-            while True:
-                upd = next_update()
-                if upd is None:
-                    break
-                out.append(upd)
-            return n, out
-
-        n_old, old = pulls(lambda: Matching(10, [(0, 1), (2, 3)]))
-        stream = streams.adversarial_matched_edge_deletions(
-            5, rounds=4,
-            current_matching=Matching(10, [(0, 1), (2, 3)]).edge_list,
-            seed=44)
-        assert (n_old, old) == (stream.n, list(stream))
