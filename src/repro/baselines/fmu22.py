@@ -32,8 +32,8 @@ from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.boosting import BoostingFramework, OracleDriver, build_structure_graph
 from repro.core.oracles import GreedyMatchingOracle, MatchingOracle
-from repro.core.operations import apply_augmentations, augment_op, overtake_op
-from repro.core.phase import contract_pass, run_phase
+from repro.core.operations import augment_op, overtake_op
+from repro.core.phase import contract_pass
 from repro.core.structures import PhaseState, StructNode
 
 Edge = Tuple[int, int]
@@ -134,23 +134,19 @@ class FMU22Driver(OracleDriver):
         contract_pass(state)
 
 
+class _FMU22BoostingFramework(BoostingFramework):
+    """The framework with the unrefined driver (same outer loop)."""
+
+    def make_driver(self) -> OracleDriver:
+        return FMU22Driver(self.oracle, self.profile, rng=self.rng)
+
+
 def fmu22_boost(graph: Graph, eps: float,
                 oracle: Optional[MatchingOracle] = None,
                 profile: Optional[ParameterProfile] = None,
                 counters: Optional[Counters] = None,
                 seed: Optional[int] = None) -> Matching:
     """Run the [FMU22]-style schedule end to end (same outer loop, old driver)."""
-    framework = BoostingFramework(eps, oracle=oracle, profile=profile,
-                                  counters=counters, seed=seed)
-    matching = framework.initial_matching(graph)
-    driver = FMU22Driver(framework.oracle, framework.profile, rng=framework.rng)
-    for h in framework.profile.scales:
-        for _t in range(framework.profile.phases(h)):
-            framework.counters.add("phases")
-            records = run_phase(graph, matching, framework.profile, h, driver,
-                                counters=framework.counters)
-            gained = apply_augmentations(matching, records)
-            framework.counters.add("matching_gain", gained)
-            if framework.profile.early_exit and gained == 0:
-                break
-    return matching
+    framework = _FMU22BoostingFramework(eps, oracle=oracle, profile=profile,
+                                        counters=counters, seed=seed)
+    return framework.run(graph)

@@ -10,7 +10,6 @@ the largest live structure's size is charged as aggregation rounds.
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Tuple
 
 from repro.graph.graph import Graph
@@ -18,8 +17,9 @@ from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.boosting import BoostingFramework, OracleDriver
-from repro.core.operations import apply_augmentations
-from repro.core.phase import run_phase
+# kept importable here: perfbench/tracing.py spans ``run_phase`` by name in
+# every framework module, this one included
+from repro.core.phase import run_phase  # noqa: F401
 from repro.core.structures import PhaseState
 from repro.congest.matching_congest import CongestMatchingOracle
 
@@ -34,15 +34,11 @@ class _AggregationChargingDriver(OracleDriver):
     procedure is twice the size of the *largest* live structure.
     """
 
-    def __init__(self, oracle, profile, counters: Counters,
-                 rng: Optional[random.Random] = None) -> None:
-        super().__init__(oracle, profile, rng=rng)
-        self.counters = counters
-
-    def _charge_aggregation(self, state: PhaseState) -> None:
+    @staticmethod
+    def _charge_aggregation(state: PhaseState) -> None:
         largest = max((s.size for s in state.live_structures()), default=1)
-        self.counters.add("congest_rounds", 2 * largest)
-        self.counters.add("congest_aggregation_rounds", 2 * largest)
+        state.counters.add("congest_rounds", 2 * largest)
+        state.counters.add("congest_aggregation_rounds", 2 * largest)
 
     def extend_active_path(self, state: PhaseState) -> None:
         super().extend_active_path(state)
@@ -51,6 +47,14 @@ class _AggregationChargingDriver(OracleDriver):
     def contract_and_augment(self, state: PhaseState) -> None:
         super().contract_and_augment(state)
         self._charge_aggregation(state)
+
+
+class _CongestBoostingFramework(BoostingFramework):
+    """The framework with the aggregation-charging driver."""
+
+    def make_driver(self) -> OracleDriver:
+        return _AggregationChargingDriver(self.oracle, self.profile,
+                                          rng=self.rng)
 
 
 def congest_boosted_matching(graph: Graph, eps: float,
@@ -65,20 +69,6 @@ def congest_boosted_matching(graph: Graph, eps: float,
     """
     counters = counters if counters is not None else Counters()
     oracle = CongestMatchingOracle(counters=counters, seed=seed)
-    framework = BoostingFramework(eps, oracle=oracle, profile=profile,
-                                  counters=counters, seed=seed)
-
-    # Reproduce BoostingFramework.run but with the aggregation-charging driver.
-    matching = framework.initial_matching(graph)
-    driver = _AggregationChargingDriver(framework.oracle, framework.profile,
-                                        counters, rng=framework.rng)
-    for h in framework.profile.scales:
-        for _t in range(framework.profile.phases(h)):
-            counters.add("phases")
-            records = run_phase(graph, matching, framework.profile, h, driver,
-                                counters=counters)
-            gained = apply_augmentations(matching, records)
-            counters.add("matching_gain", gained)
-            if framework.profile.early_exit and gained == 0:
-                break
-    return matching, counters
+    framework = _CongestBoostingFramework(eps, oracle=oracle, profile=profile,
+                                          counters=counters, seed=seed)
+    return framework.run(graph), counters

@@ -11,9 +11,11 @@ semi-streaming algorithm:
   graph ``H'`` (Definition 5.4) is built, ``Amatching`` is invoked on it for
   O(log 1/eps) iterations, and every matched pair of structures is augmented;
 * ``Extend-Active-Path`` is simulated by Algorithm 5: for every stage
-  ``s = 0..l_max`` the bipartite graph ``H'_s`` of s-feasible arcs
-  (Definition 5.8) is built and ``Amatching`` is invoked on it for
-  O(log 1/eps) iterations, performing ``Overtake`` on every matched arc.
+  ``s = 0..l_max`` at which some working vertex sits
+  (:meth:`PhaseState.eligible_stages`; other stages have an empty ``H'_s``)
+  the bipartite graph ``H'_s`` of s-feasible arcs (Definition 5.8) is built
+  and ``Amatching`` is invoked on it for O(log 1/eps) iterations, performing
+  ``Overtake`` on every matched arc.
 
 Every oracle invocation is charged to the ``oracle_calls`` counter -- the
 quantity Theorem 1.1 bounds by O(eps^-7 log(1/eps)) per run and Table 1
@@ -175,8 +177,15 @@ class OracleDriver:
 
     # -- Algorithm 5 --------------------------------------------------------
     def extend_active_path(self, state: PhaseState) -> None:
-        for stage in self.profile.stages():
-            state.counters.add("stages")
+        stages = self.profile.stages()
+        state.counters.add("stages", len(stages))
+        # a stage where no working vertex sits has an empty left side in
+        # H'_s, so it can perform no overtake and costs no oracle call
+        eligible = state.eligible_stages()
+        for stage in stages:
+            if stage not in eligible:
+                continue
+            overtook = False
             for _it in range(self.profile.sim_iterations):
                 hs, witness, num_left = build_stage_graph(state, stage)
                 if hs.m == 0:
@@ -198,6 +207,9 @@ class OracleDriver:
                         performed += 1
                 if performed == 0:
                     break
+                overtook = True
+            if overtook:
+                eligible = state.eligible_stages()
         # Algorithm 5, line 9 would now run the Contract-and-Augment simulation
         # a second time; Remark 2 observes it can be skipped because the phase
         # driver (Algorithm 2) invokes contract_and_augment immediately after
@@ -288,6 +300,11 @@ class BoostingFramework:
                 matching.add(back[x], back[y])
         return matching
 
+    def make_driver(self) -> OracleDriver:
+        """The phase driver :meth:`run` hands every phase.  Variants with a
+        different schedule or round accounting override this alone."""
+        return OracleDriver(self.oracle, self.profile, rng=self.rng)
+
     # -- Theorem 1.1 ---------------------------------------------------------
     def run(self, graph: Graph, initial: Optional[Matching] = None) -> Matching:
         """Boost to a (1+eps)-approximate maximum matching of ``graph``."""
@@ -296,7 +313,7 @@ class BoostingFramework:
         # representations because vertex ids are preserved).
         graph = self.profile.resolve_graph(graph)
         matching = initial.copy() if initial is not None else self.initial_matching(graph)
-        driver = OracleDriver(self.oracle, self.profile, rng=self.rng)
+        driver = self.make_driver()
         # the graph is fixed for the whole run: share the frozen derived
         # views (CSR / sorted neighbours) across its phases
         views = FrozenViews()

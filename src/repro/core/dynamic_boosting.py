@@ -28,7 +28,7 @@ enlarges the preserved subgraph and keeps the oracle calls intact.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -83,31 +83,12 @@ class SamplingOracleDriver:
                 sampled.append(outs[r])
         return sampled
 
-    @staticmethod
-    def _eligible_stages(state: PhaseState) -> Set[int]:
-        """The stages at which some structure can extend (Section 6.6).
-
-        A structure is eligible at one stage only, the distance of its
-        working vertex (:meth:`PhaseState.eligible_working`).  A stage with
-        no eligible structure can perform no overtake, so the driver skips
-        its in-structure sweep and sampling loop.  Only an overtake changes
-        eligibility, so the set stays valid until a stage performs one.
-        """
-        vlabel = state.vlabel
-        stages = set()
-        for structure in state.structures.values():
-            w = structure.working
-            if w is None or structure.on_hold or structure.extended:
-                continue
-            parent = w.parent
-            stages.add(0 if parent is None else vlabel[parent.vertices[0]])
-        return stages
-
     # -- Section 6.6 ---------------------------------------------------------
     def extend_active_path(self, state: PhaseState) -> None:
-        eligible = self._eligible_stages(state)
-        for stage in self.profile.stages():
-            state.counters.add("stages")
+        stages = self.profile.stages()
+        state.counters.add("stages", len(stages))
+        eligible = state.eligible_stages()
+        for stage in stages:
             if stage not in eligible:
                 continue
             overtook = self._in_structure_overtakes(state, stage)
@@ -139,7 +120,7 @@ class SamplingOracleDriver:
                     misses = 0
                     overtook = True
             if overtook:
-                eligible = self._eligible_stages(state)
+                eligible = state.eligible_stages()
 
     def _in_structure_overtakes(self, state: PhaseState, stage: int) -> bool:
         """Maintain Invariant 6.10: no s-feasible arc stays inside a structure.

@@ -12,20 +12,15 @@ Layout contract
 ---------------
 * A *packed set* over a universe of size ``n`` is a 1-D ``uint64`` array of
   ``words_for(n)`` words.  Bits at positions ``>= n`` in the last word are
-  zero (every kernel preserves this, so popcounts never overcount).
+  zero (every kernel preserves this).
 * A *packed matrix* is a 2-D ``uint64`` array, one packed set per row.
-* ``np.packbits``/``np.unpackbits`` (``bitorder="little"``) are used only at
-  the boundaries (:func:`pack_indicator`, :func:`unpack_words`); everything
-  between operates on whole words.
-* Popcount goes through a 16-bit lookup table (:data:`POPCOUNT16`) -- the
-  words are viewed as ``uint16`` quads, gathered through the table and
-  summed, which keeps the working set at 64 KiB instead of a 2^64 table or a
-  per-bit loop.
+* Sets are packed only at the boundaries (:func:`pack_indicator`,
+  :func:`pack_indices`); everything between operates on whole words.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -34,15 +29,6 @@ from repro.utils.contracts import hot_path
 #: bits per packed word (the layout contract; do not change casually --
 #: checkpoints and fixtures encode it)
 WORD_BITS = 64
-
-#: popcount lookup table: POPCOUNT16[x] = number of set bits in the uint16 x.
-#: Built once at import via unpackbits (boundary use, not a hot path).
-POPCOUNT16: np.ndarray = (
-    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1)
-    .astype(np.uint16)
-)
 
 # --------------------------------------------------------------------------
 # layout primitives
@@ -66,12 +52,6 @@ def pack_indicator(mask) -> np.ndarray:
         packed_bytes = np.concatenate(
             [packed_bytes, np.zeros(pad, dtype=np.uint8)])
     return packed_bytes.view("<u8")
-
-
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack uint64 words back to an ``n``-long boolean vector (boundary)."""
-    bits = np.unpackbits(words.view("<u1"), bitorder="little")
-    return bits[:n].astype(bool)
 
 
 #: widest universe (in words) the scalar Python-int fast paths cover; below
@@ -110,12 +90,6 @@ def test_bit(words: np.ndarray, j: int) -> bool:
 # --------------------------------------------------------------------------
 # word-parallel kernels
 # --------------------------------------------------------------------------
-
-@hot_path
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a packed set (16-bit lookup table)."""
-    return int(POPCOUNT16[words.view("<u2")].sum())
-
 
 @hot_path
 def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -157,20 +131,6 @@ def first_set_bit(words: np.ndarray) -> int:
             return -1
         return (as_int & -as_int).bit_length() - 1
     return int(first_set_bits(words.reshape(1, -1))[0])
-
-
-@hot_path
-def and_words(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-              ) -> np.ndarray:
-    """Word-parallel intersection ``a & b``."""
-    return np.bitwise_and(a, b, out=out)
-
-
-@hot_path
-def andnot_words(a: np.ndarray, b: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Word-parallel difference ``a & ~b`` (ANDN sweep)."""
-    return np.bitwise_and(a, np.bitwise_not(b), out=out)
 
 
 def iter_set_bits(words: np.ndarray) -> List[int]:

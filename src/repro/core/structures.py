@@ -526,9 +526,9 @@ class PhaseState:
         this pass-bundle, and the working vertex's distance equals ``stage``.
 
         The definition of the stage filter.  The stage-graph builder calls
-        it; the sampling driver inlines it in its per-round hot loops
-        (``SamplingOracleDriver._eligible_stages`` and ``_stage_sample``),
-        so a change here must be made there too.
+        it; :meth:`eligible_stages` and the sampling driver's per-round hot
+        loop (``SamplingOracleDriver._stage_sample``) inline it, so a change
+        here must be made there too.
         """
         w = structure.working
         if w is None or structure.on_hold or structure.extended:
@@ -540,6 +540,25 @@ class PhaseState:
         if parent is None:
             return stage == 0
         return self.vlabel[parent.vertices[0]] == stage
+
+    def eligible_stages(self) -> Set[int]:
+        """The stages at which some structure can extend (Sections 5.5/6.6).
+
+        A structure is eligible at one stage only, the distance of its
+        working vertex (:meth:`eligible_working`, inlined).  A stage outside
+        this set can perform no overtake, so both phase drivers skip it.
+        Only an overtake changes eligibility, so the set stays valid until a
+        stage performs one.
+        """
+        vlabel = self.vlabel
+        stages = set()
+        for structure in self.structures.values():
+            w = structure.working
+            if w is None or structure.on_hold or structure.extended:
+                continue
+            parent = w.parent
+            stages.add(0 if parent is None else vlabel[parent.vertices[0]])
+        return stages
 
     def distance(self, node: StructNode) -> int:
         """``distance(u)`` of Section 4.6: 0 at the root, else the label of the

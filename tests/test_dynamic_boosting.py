@@ -70,6 +70,16 @@ class TestEndToEnd:
                             counters=counters, seed=5)
         assert counters.get("weak_oracle_calls") > 0
 
+    def test_counters_record_schedule(self):
+        g = erdos_renyi(40, 0.1, seed=5)
+        counters = Counters()
+        boost_matching_weak(g, 0.25, GreedyInducedWeakOracle(g, seed=5),
+                            counters=counters, seed=5)
+        profile = ParameterProfile.practical(0.25)
+        # every pass-bundle walks all stages 0..ell_max once, skipped or not
+        assert counters.get("stages") == ((profile.ell_max + 1)
+                                          * counters.get("pass_bundles"))
+
     def test_oracle_must_be_bound_to_input_graph(self):
         g1 = erdos_renyi(20, 0.2, seed=6)
         g2 = erdos_renyi(20, 0.2, seed=7)

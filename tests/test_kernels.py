@@ -1,10 +1,10 @@
 """Property tests (hypothesis) for the packed-bitset kernel library.
 
 Every kernel in :mod:`repro.core.kernels` is checked against the obvious
-set/int model: a packed set is just ``{j : bit j set}``, so intersections,
-popcounts, first-set-bits and gathers must agree with plain Python sets and
-``bin(x).count("1")`` on arbitrary universes -- including the word-boundary
-sizes (63, 64, 65, 128, 129) where packing bugs live.  The uint8 fixture
+set model: a packed set is just ``{j : bit j set}``, so packing,
+intersection tests, first-set-bits and gathers must agree with plain Python
+sets on arbitrary universes -- including the word-boundary sizes (63, 64,
+65, 128, 129) where packing bugs live.  The uint8 fixture
 test replays query/probe/matching results recorded from the byte-packed
 OMv implementation this library replaced, pinning the uint64 migration to
 the old outputs bit for bit.
@@ -40,9 +40,8 @@ def test_pack_unpack_round_trip(case):
     n, members, words = case
     assert words.dtype == np.uint64
     assert words.shape == (kernels.words_for(n),)
-    mask = kernels.unpack_words(words, n)
-    assert mask.shape == (n,)
-    assert sorted(np.flatnonzero(mask).tolist()) == members
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
     # the indicator pack of the same mask is word-identical
     assert np.array_equal(kernels.pack_indicator(mask), words)
 
@@ -54,30 +53,7 @@ def test_iter_set_bits_is_sorted_membership(case):
     assert kernels.iter_set_bits(words) == members
 
 
-@given(packed_sets())
-@settings(max_examples=200, deadline=None)
-def test_popcount_matches_bit_count(case):
-    n, members, words = case
-    assert kernels.popcount_words(words) == len(members)
-    # cross-check against the int model
-    as_int = int.from_bytes(words.tobytes(), "little")
-    assert kernels.popcount_words(words) == bin(as_int).count("1")
-
-
-# ------------------------------------------------------------ word algebra
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_and_andnot_match_set_model(data):
-    n = data.draw(UNIVERSES)
-    _, a_members, a = data.draw(packed_sets(n=n))
-    _, b_members, b = data.draw(packed_sets(n=n))
-    a_set, b_set = set(a_members), set(b_members)
-    assert kernels.iter_set_bits(kernels.and_words(a, b)) == \
-        sorted(a_set & b_set)
-    assert kernels.iter_set_bits(kernels.andnot_words(a, b)) == \
-        sorted(a_set - b_set)
-
-
+# ------------------------------------------------------------ extractors
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_first_set_bit_is_minimum(data):
