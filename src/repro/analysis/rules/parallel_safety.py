@@ -1,9 +1,9 @@
-"""Rule family ``parallel-safety``: code that diverges under a process pool.
+"""Rule family ``parallel-safety``: code that breaks the no-shared-memory model.
 
-The sharded-execution roadmap item will run today's serially-executed
-machine/vertex programs in worker processes.  Three bug classes behave fine
-under :class:`~repro.exec.SerialExecutor` and silently diverge (or crash)
-once a :class:`~repro.exec.ProcessExecutor` is plugged in:
+Two places in the repo must behave as if nothing is shared between units of
+work: the bench runner's ``--jobs N`` process pool, and the MPC/CONGEST
+round programs, whose messages the models define as copies.  Three bug
+classes run fine in one process and silently diverge (or crash) there:
 
 * ``exec-escape`` -- a callable shipped through an executor seam
   (``executor.map(fn, tasks)`` / ``pool.submit(fn, task)``) that cannot
@@ -13,9 +13,9 @@ once a :class:`~repro.exec.ProcessExecutor` is plugged in:
   instances) pickle the reference but re-create divergent state per worker.
 * ``send-aliasing`` -- an MPC/CONGEST program (``program(vertex, state,
   inbox) -> {neighbor: message}``) returning a mutable payload it retains a
-  reference to.  Serial exchange shares objects, so a later mutation
-  rewrites the "delivered" message; process exchange pickles at the
-  barrier, so the same code delivers the pre-mutation value.  Flagged:
+  reference to.  The simulators hand the sent object itself to the
+  receiver, so a later mutation rewrites the "delivered" message, which a
+  model message (a copy taken at the barrier) never sees.  Flagged:
   returning ``state``/``inbox`` themselves, outbox values subscripting
   ``state``/``inbox``, and locals stored into an outbox then mutated in
   place after the send point (by source position; the runtime isolation

@@ -14,15 +14,11 @@ dicts/sets/strings are sized by content, and payload types the model cannot
 size are rejected under ``strict=True`` instead of slipping past the
 O(log n)-bit limit as "one word".
 
-Within a round the vertex programs are independent, so :meth:`round` has a
-chunked execution path mirroring the MPC simulator's: vertex ids are
-partitioned into contiguous chunks run via a pluggable
-:class:`~repro.exec.Executor` (serial by default, process pool when the
-program pickles; state dicts are shipped back explicitly), with outboxes
-merged at the barrier in vertex order.  The message exchange itself has a
-NumPy fast path over the CSR graph backend: when a round's messages are the
-small int tuples the matching programs actually send, edge validation runs
-as one whole-round array pass
+:meth:`CongestSimulator.round` runs the vertex programs one after another
+in vertex order and delivers their outboxes at the barrier in that order.
+The message exchange has a NumPy fast path over the CSR graph backend: when
+a round's messages are the small int tuples the matching programs actually
+send, edge validation runs as one whole-round array pass
 (:meth:`~repro.graph.backends.CSRBackend.edge_mask`) instead of per-message
 ``has_edge`` calls (sizing stays :func:`~repro.exec.payload_words`-exact).
 """
@@ -32,10 +28,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.exec import PicklabilityProbe, contiguous_chunks, payload_words, resolve_executor
-from repro.exec.executor import Executor, ExecutorSpec
+from repro.exec import payload_words
 from repro.exec.isolation import resolve_isolation
-from repro.exec.pool import run_vertex_chunk
 from repro.graph.backends import CSRBackend, _np
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
@@ -61,20 +55,13 @@ class MessageTooLarge(RuntimeError):
 class CongestSimulator:
     """Synchronous message passing on the edges of a fixed graph.
 
-    ``executor`` / ``chunks`` mirror :class:`~repro.mpc.simulator.MPCSimulator`:
-    ``None`` keeps the sequential in-process loop, an int worker count /
-    ``"process"`` / an :class:`~repro.exec.Executor` enables chunked rounds.
-    A process pool is only used when the program pickles (closures fall back
-    to the sequential loop); per-vertex ``state`` keeps working either way
-    because chunk results carry the state dicts back across the boundary.
-
-    ``isolation`` enables the serial-executor isolation sanitizer
-    (:mod:`repro.exec.isolation`): in-process outboxes are deep-copied at
-    the exchange barrier and the sender-side originals checksummed at the
-    next round / :meth:`close`, so a program mutating an already-sent
-    payload raises :class:`~repro.exec.isolation.IsolationViolation`
-    instead of silently diverging between serial and pooled rounds.
-    ``None`` (default) reads the ``REPRO_EXEC_ISOLATION`` environment flag.
+    ``isolation`` enables the isolation sanitizer
+    (:mod:`repro.exec.isolation`): outboxes are deep-copied at the exchange
+    barrier and the sender-side originals checksummed at the next round /
+    :meth:`close`, so a program mutating an already-sent payload raises
+    :class:`~repro.exec.isolation.IsolationViolation` instead of silently
+    leaking shared state between vertices.  ``None`` (default) reads the
+    ``REPRO_EXEC_ISOLATION`` environment flag.
 
     ``fault_plan`` injects deterministic message faults at the exchange
     barrier (:class:`~repro.resilience.faults.FaultPlan`): a validated
@@ -93,20 +80,11 @@ class CongestSimulator:
     """
 
     def __init__(self, graph: Graph, counters: Optional[Counters] = None,
-                 strict: bool = True, executor: ExecutorSpec = None,
-                 chunks: Optional[int] = None,
-                 isolation: Optional[bool] = None,
+                 strict: bool = True, isolation: Optional[bool] = None,
                  fault_plan: Optional["FaultPlan"] = None) -> None:
         self.graph = graph
         self.counters = counters if counters is not None else Counters()
         self.strict = strict
-        self._executor: Optional[Executor] = (
-            None if executor is None else resolve_executor(executor))
-        # close() must not tear down a pool the caller owns and may share
-        self._owns_executor = (self._executor is not None
-                               and not isinstance(executor, Executor))
-        self._chunks = chunks
-        self._picklable = PicklabilityProbe()
         self._guard = resolve_isolation(isolation, "congest")
         self._faults = fault_plan
         self._fault_round = 0
@@ -119,40 +97,15 @@ class CongestSimulator:
     # ----------------------------------------------------------------- rounds
     def _execute_programs(self, program: VertexProgram) -> List[Outbox]:
         """Run the program on every vertex; outboxes in vertex order."""
-        executor = self._executor
-        if executor is not None and executor.parallelism > 1 \
-                and not self._picklable(program):
-            executor = None  # closures can't cross a process boundary
-        n = self.graph.n
         guard = self._guard
-        if executor is None:
-            outboxes = []
-            for v in range(n):
-                out = program(v, self.state[v], self._inboxes[v]) or {}
-                if guard is not None:
-                    # capture at program return -- exactly where process
-                    # mode would pickle -- so a later vertex of the same
-                    # round cannot rewrite an already-submitted outbox
-                    out = guard.capture_outbox(v, out)
-                outboxes.append(out)
-            return outboxes
-        spans = contiguous_chunks(
-            n, self._chunks or executor.chunks_for(n))
-        tasks = [(program, start, self.state[start:stop],
-                  self._inboxes[start:stop])
-                 for start, stop in spans]
-        outboxes: List[Outbox] = []  # repro: allow[word-accounting-bypass] -- collection only: the calling round sizes every message via _validate_outboxes before delivery
-        for (start, stop), (chunk_out, chunk_state) in zip(
-                spans, executor.map(run_vertex_chunk, tasks)):
-            outboxes.extend(chunk_out)
-            # mutated state must travel back explicitly (process mode); in
-            # serial mode these are the same dict objects, so this is a no-op
-            self.state[start:stop] = chunk_state
-        if guard is not None and executor.parallelism == 1:
-            # a chunked-but-serial executor still shares objects; process
-            # pools isolate physically, so only parallelism == 1 needs this
-            outboxes = [guard.capture_outbox(v, out)
-                        for v, out in enumerate(outboxes)]
+        outboxes = []  # repro: allow[word-accounting-bypass] -- collection only: the calling round sizes every message via _validate_outboxes before delivery
+        for v in range(self.graph.n):
+            out = program(v, self.state[v], self._inboxes[v]) or {}
+            if guard is not None:
+                # capture at program return, so a later vertex of the same
+                # round cannot rewrite an already-submitted outbox
+                out = guard.capture_outbox(v, out)
+            outboxes.append(out)
         return outboxes
 
     def _validate_outboxes(self, outboxes: List[Outbox]) -> int:
@@ -297,12 +250,11 @@ class CongestSimulator:
                     f"message of {words} words exceeds the O(log n)-bit limit")
 
     def close(self) -> None:
-        """Release executor workers this simulator created.
+        """Finish the simulation.
 
-        A caller-supplied :class:`~repro.exec.Executor` instance is left
-        running -- it may be shared with other simulators.  Under isolation
-        the last round's retained payloads are verified here, so mutations
-        after the final round still fail loudly.
+        Under isolation the last round's retained payloads are verified
+        here, so mutations after the final round still fail loudly.
+        Duplicates still awaiting redelivery are tallied as expired.
         """
         if self._guard is not None:
             self._guard.verify()
@@ -311,8 +263,6 @@ class CongestSimulator:
             # network never delivered them (a fault in the final round)
             self.counters.add("congest_faults_expired", len(self._delayed))
             self._delayed = []
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
 
     @property
     def rounds(self) -> int:

@@ -274,8 +274,23 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         checkpoint cannot serialize a callable); ``counters`` lets the caller
         resume into a shared bag -- it is reset to the checkpointed totals,
         wiping anything the restore itself charged.
+
+        The checkpointed profile must name exactly the fields of
+        :class:`~repro.core.config.ParameterProfile`: an unknown field or a
+        missing one (which would silently take its default and change the
+        schedule) raises :class:`ValueError` before anything is built.
         """
-        profile = ParameterProfile(**state["profile"])
+        import dataclasses as _dc
+
+        saved = state["profile"]
+        expected = {f.name for f in _dc.fields(ParameterProfile)}
+        unknown = sorted(set(saved) - expected)
+        missing = sorted(expected - set(saved))
+        if unknown or missing:
+            raise ValueError(
+                "checkpoint profile does not match ParameterProfile: "
+                f"unknown fields {unknown}, missing fields {missing}")
+        profile = ParameterProfile(**saved)
         alg = cls(int(state["n"]), float(state["eps"]),
                   oracle_factory=oracle_factory, profile=profile,
                   rebuild_slack=float(state["rebuild_slack"]),

@@ -1,53 +1,27 @@
-"""Execution layer: executors, chunk partitioning and payload sizing.
+"""Execution layer: payload sizing, the isolation sanitizer and bench workers.
 
-The MPC model is embarrassingly parallel *within* a round (independent
-machine programs exchanging messages at superstep barriers), and the
+The MPC and CONGEST simulators run their round programs sequentially; the
 benchmark suite is embarrassingly parallel *across* scenarios.  This package
-provides the shared machinery both exploit:
+holds what both share:
 
-* :class:`~repro.exec.executor.Executor` -- the minimal ordered-``map``
-  protocol, with :class:`~repro.exec.executor.SerialExecutor` (inline, zero
-  overhead, the default everywhere) and
-  :class:`~repro.exec.executor.ProcessExecutor` (a ``ProcessPoolExecutor``
-  wrapper) implementations, plus :func:`~repro.exec.executor.resolve_executor`
-  to turn user-facing specs (``None`` / int / name / instance) into one.
-* :func:`~repro.exec.chunking.contiguous_chunks` -- partition ``range(count)``
-  into contiguous ``(start, stop)`` slices, the unit of work a simulator
-  round hands to an executor.
 * :func:`~repro.exec.words.payload_words` -- the word-size convention shared
   by the MPC budget/counter accounting and the CONGEST per-edge message
   limit.
+* :class:`~repro.exec.isolation.IsolationGuard` -- the runtime check that a
+  round program never mutates a payload after sending it.
 * :func:`~repro.exec.pool.run_spec_task` -- the picklable worker the bench
   runner's ``--jobs N`` process pool executes.
 
-Determinism contract: executors only change *where* work runs, never its
-result order.  ``Executor.map`` returns results in submission order, chunks
-are contiguous and ordered, and every merge step (bench records, simulator
-outboxes) iterates in that order -- so a parallel run is indistinguishable
-from a serial one except for wall-clock time.
+Determinism contract: the bench runner merges pooled records in spec order,
+so a ``--jobs N`` run is indistinguishable from a serial one except for
+wall-clock time.
 """
 
-from repro.exec.chunking import contiguous_chunks
-from repro.exec.executor import (
-    Executor,
-    PicklabilityProbe,
-    ProcessExecutor,
-    SerialExecutor,
-    is_picklable,
-    resolve_executor,
-)
 from repro.exec.isolation import IsolationGuard, IsolationViolation
 from repro.exec.words import payload_words
 
 __all__ = [
-    "Executor",
     "IsolationGuard",
     "IsolationViolation",
-    "PicklabilityProbe",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "contiguous_chunks",
-    "is_picklable",
     "payload_words",
-    "resolve_executor",
 ]

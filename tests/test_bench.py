@@ -422,10 +422,10 @@ def test_smoke_gate_all_scenarios(tmp_path):
     # an unpinned subprocess would silently retest under whatever seed the
     # host chose -- determinism failures must reproduce byte-for-byte
     env["PYTHONHASHSEED"] = "0"
-    # run every MPC/CONGEST round under the serial-executor isolation
-    # sanitizer (deep-copied deliveries + sender-side checksums), so a
-    # program mutating an already-sent payload fails this gate today
-    # instead of diverging once rounds run in a process pool
+    # run every MPC/CONGEST round under the isolation sanitizer
+    # (deep-copied deliveries + sender-side checksums), so a program
+    # mutating an already-sent payload fails this gate instead of silently
+    # sharing state the models forbid
     env["REPRO_EXEC_ISOLATION"] = "1"
     env["PYTHONPATH"] = (os.path.join(REPO_ROOT, "src")
                          + os.pathsep + env.get("PYTHONPATH", ""))

@@ -299,3 +299,30 @@ def test_restore_rejects_removed_engine_before_replay(tmp_path):
         loaded.restore(counters=counters)
     # nothing was replayed into the caller's counter bag
     assert counters.as_dict() == {}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda profile: profile.update(turbo=True), r"unknown fields \['turbo'\]"),
+    (lambda profile: profile.pop("max_phase_cap"),
+     r"missing fields \['max_phase_cap'\]"),
+], ids=["extra_field", "missing_max_phase_cap"])
+def test_restore_rejects_profile_schema_drift(tmp_path, edit, named):
+    """A checkpoint profile with an unknown field, or missing one that would
+    silently take its default, is rejected by name before anything is
+    rebuilt."""
+    np = pytest.importorskip("numpy")
+    _, path = _saved_checkpoint(tmp_path)
+    with np.load(path) as payload:
+        arrays = {name: payload[name] for name in payload.files}
+    profile = json.loads(str(arrays["profile_json"]))
+    edit(profile)
+    arrays["profile_json"] = np.array(json.dumps(profile, sort_keys=True))
+    drifted = str(tmp_path / "drifted.npz")
+    np.savez(drifted, **arrays)
+
+    loaded = MaintainerCheckpoint.load(drifted)
+    counters = Counters()
+    with pytest.raises(ValueError, match=named):
+        loaded.restore(counters=counters)
+    # nothing was replayed into the caller's counter bag
+    assert counters.as_dict() == {}

@@ -1,10 +1,9 @@
 """Tests for the execution layer (``repro.exec``) and its integrations.
 
-Covers chunk partitioning, the word-size convention, executor resolution and
-ordering, chunked MPC/CONGEST rounds (serial and process-pool, including the
-closure fallback and state shipping), the CSR message-exchange fast path, and
-the bench runner's ``--jobs`` path: deterministic records, exact counter
-merges, and per-scenario crash isolation.
+Covers the word-size convention, the CSR message-exchange fast path and
+CONGEST message sizing, counter merges, cross-process determinism of the
+algorithms, and the bench runner's ``--jobs`` path: deterministic records,
+exact counter merges, and per-scenario crash isolation.
 """
 
 import os
@@ -18,38 +17,10 @@ from repro.congest.simulator import (
     CongestSimulator,
     MessageTooLarge,
 )
-from repro.exec import (
-    ProcessExecutor,
-    SerialExecutor,
-    contiguous_chunks,
-    is_picklable,
-    payload_words,
-    resolve_executor,
-)
+from repro.exec import payload_words
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
-from repro.mpc.simulator import MPCSimulator
-
-
-# ----------------------------------------------------------------- chunking
-class TestChunking:
-    def test_partition_covers_exactly_once_in_order(self):
-        for count in (1, 2, 7, 16, 100):
-            for chunks in (1, 2, 3, count, count + 5):
-                spans = contiguous_chunks(count, chunks)
-                flat = [i for start, stop in spans for i in range(start, stop)]
-                assert flat == list(range(count))
-                sizes = [stop - start for start, stop in spans]
-                assert max(sizes) - min(sizes) <= 1
-                assert 0 not in sizes
-
-    def test_empty_and_invalid(self):
-        assert contiguous_chunks(0, 3) == []
-        with pytest.raises(ValueError):
-            contiguous_chunks(-1, 2)
-        with pytest.raises(ValueError):
-            contiguous_chunks(5, 0)
 
 
 # -------------------------------------------------------------------- words
@@ -87,190 +58,6 @@ class TestPayloadWords:
         # an unsizable element poisons its container under the strict rule
         assert payload_words((1, Opaque())) is None
         assert payload_words((1, Opaque()), default=1) == 2
-
-
-# ---------------------------------------------------------------- executors
-def _square(x):
-    return x * x
-
-
-class TestExecutors:
-    def test_serial_map_order(self):
-        assert SerialExecutor().map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_process_map_order(self):
-        with ProcessExecutor(2) as ex:
-            assert ex.map(_square, list(range(10))) == [i * i for i in range(10)]
-
-    def test_resolve(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor(1), SerialExecutor)
-        ex = resolve_executor(3)
-        assert isinstance(ex, ProcessExecutor) and ex.parallelism == 3
-        assert resolve_executor(ex) is ex
-        with pytest.raises(ValueError):
-            resolve_executor("threads")
-        with pytest.raises(TypeError):
-            resolve_executor(1.5)
-
-    def test_is_picklable(self):
-        assert is_picklable(_square)
-        assert not is_picklable(lambda x: x)
-
-    def test_picklability_probe_caches_per_object(self, monkeypatch):
-        import repro.exec.executor as executor_mod
-        from repro.exec import PicklabilityProbe
-
-        calls = []
-        real = executor_mod.is_picklable
-        monkeypatch.setattr(executor_mod, "is_picklable",
-                            lambda obj: (calls.append(obj), real(obj))[1])
-        probe = PicklabilityProbe()
-        assert probe(_square) is True
-        assert probe(_square) is True
-        assert len(calls) == 1          # second answer came from the cache
-        assert probe(lambda x: x) is False
-
-    def test_probe_strong_cache_covers_non_weakrefable(self, monkeypatch):
-        # slotted instances without __weakref__ reject weak keys; they must
-        # still be memoized (bounded strong LRU) instead of re-pickled
-        # every round
-        import repro.exec.executor as executor_mod
-        from repro.exec import PicklabilityProbe
-
-        class Slotted:
-            __slots__ = ("x",)
-
-            def __init__(self, x):
-                self.x = x
-
-            def __call__(self, task):
-                return self.x
-
-        calls = []
-        real = executor_mod.is_picklable
-        monkeypatch.setattr(executor_mod, "is_picklable",
-                            lambda obj: (calls.append(obj), real(obj))[1])
-        probe = PicklabilityProbe()
-        program = Slotted(1)
-        first = probe(program)
-        assert probe(program) is first
-        assert len(calls) == 1          # strong cache answered the repeat
-
-    def test_probe_strong_cache_is_bounded_and_identity_checked(self):
-        from repro.exec import PicklabilityProbe
-        from repro.exec.executor import _STRONG_CACHE_LIMIT
-
-        class Slotted:
-            __slots__ = ()
-
-            def __call__(self, task):
-                return task
-
-        probe = PicklabilityProbe()
-        kept = [Slotted() for _ in range(_STRONG_CACHE_LIMIT + 3)]
-        for obj in kept:
-            probe(obj)
-        assert len(probe._strong) == _STRONG_CACHE_LIMIT  # LRU evicts
-        # identity check: a different object reusing an evicted id can
-        # never be served a stale answer (the stored object is compared
-        # with ``is``)
-        survivor = kept[-1]
-        assert probe._strong[id(survivor)][0] is survivor
-
-
-# ------------------------------------------------------- chunked MPC rounds
-def _mpc_echo_program(machine_id, items):
-    """Picklable machine program: forward each item to the next machine."""
-    return [((machine_id + 1) % 4, ("item", machine_id, item))
-            for item in items]
-
-
-class TestChunkedMPC:
-    def _run(self, **sim_kwargs):
-        counters = Counters()
-        sim = MPCSimulator(4, counters=counters, **sim_kwargs)
-        sim.scatter(list(range(8)))
-        sim.round(_mpc_echo_program)
-        sim.close()
-        return [list(s) for s in sim.storage], counters.as_dict()
-
-    def test_chunked_serial_matches_inline(self):
-        baseline = self._run()
-        chunked = self._run(executor="serial", chunks=3)
-        assert chunked == baseline
-
-    def test_process_pool_matches_inline(self):
-        baseline = self._run()
-        pooled = self._run(executor=2)
-        assert pooled == baseline
-
-    def test_close_leaves_shared_executor_running(self):
-        # a caller-owned executor may be shared between simulators; close()
-        # must only tear down pools the simulator created itself
-        shared = SerialExecutor()
-        sim_a = MPCSimulator(2, executor=shared)
-        sim_b = MPCSimulator(2, executor=shared)
-        closed = []
-        shared.close = lambda: closed.append(True)  # type: ignore[assignment]
-        sim_a.close()
-        sim_b.close()
-        assert not closed
-        owned = MPCSimulator(2, executor=2)
-        owned.close()  # owns the resolved ProcessExecutor: must not raise
-
-    def test_closure_falls_back_to_inline(self):
-        # a closure cannot cross a process boundary; the round must still
-        # run (inline) and its nonlocal mutation must be visible
-        seen = []
-        sim = MPCSimulator(3, executor=2)
-        sim.scatter([10, 11, 12])
-
-        def program(machine_id, items):
-            seen.append(machine_id)
-            return []
-
-        sim.round(program)
-        sim.close()
-        assert seen == [0, 1, 2]
-
-
-# --------------------------------------------------- chunked CONGEST rounds
-def _congest_state_program(v, state, inbox):
-    """Picklable vertex program: record the round locally, ping neighbors."""
-    state["rounds_seen"] = state.get("rounds_seen", 0) + 1
-    return {}
-
-
-class TestChunkedCongest:
-    def test_process_pool_ships_state_back(self):
-        g = erdos_renyi(12, 0.3, seed=0)
-        sim = CongestSimulator(g, executor=2)
-        sim.round(_congest_state_program)
-        sim.round(_congest_state_program)
-        sim.close()
-        assert all(st.get("rounds_seen") == 2 for st in sim.state)
-
-    def test_chunked_matches_inline_messages(self):
-        g = erdos_renyi(20, 0.3, seed=1)
-
-        def run(**kwargs):
-            counters = Counters()
-            sim = CongestSimulator(g, counters=counters, **kwargs)
-
-            def program(v, state, inbox):
-                return {w: (v, w) for w in g.neighbors(v)}
-
-            sim.round(program)
-            sim.round(lambda v, state, inbox: {})
-            inbox_snapshot = [dict(i) for i in sim._inboxes]
-            sim.close()
-            return counters.as_dict(), inbox_snapshot
-
-        # closures force the inline path even with an executor configured,
-        # so this exercises the chunked *serial* execution seam
-        assert run() == run(executor="serial", chunks=4)
 
 
 # -------------------------------------------------- CSR exchange fast path
