@@ -186,6 +186,25 @@ class TestCountersMerge:
         assert total == serial
 
 
+# ------------------------------------------------------------- MPC rounds
+class TestChunkedMPC:
+    def test_closure_falls_back_to_inline(self):
+        # round programs are closures and run inline, in this process, in
+        # machine order: the closure's nonlocal mutation must be visible
+        from repro.mpc.simulator import MPCSimulator
+
+        seen = []
+        sim = MPCSimulator(3)
+        sim.scatter([10, 11, 12])
+
+        def program(machine_id, items):
+            seen.append(machine_id)
+            return []
+
+        sim.round(program)
+        assert seen == [0, 1, 2]
+
+
 # --------------------------------------------- cross-process determinism
 class TestAlgorithmDeterminism:
     def test_weak_boosting_insensitive_to_heap_layout(self):
