@@ -33,7 +33,8 @@ def main() -> None:
     print(f"stream: n={graph.n}, m={graph.m}, mu={optimum}, eps={eps}")
 
     profile = ParameterProfile.practical(eps)
-    print(f"schedule: l_max={profile.ell_max}, scales={['%.3g' % h for h in profile.scales]}")
+    schedule = [f"{h:.3g}x{budget}" for h, budget in profile.schedule(graph.n)]
+    print(f"schedule (scale x phase budget): l_max={profile.ell_max}, {schedule}")
 
     counters = Counters()
     matching = semi_streaming_matching(graph, eps, counters=counters, seed=2)

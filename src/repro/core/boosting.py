@@ -317,8 +317,8 @@ class BoostingFramework:
         # the graph is fixed for the whole run: share the frozen derived
         # views (CSR / sorted neighbours) across its phases
         views = FrozenViews()
-        for h in self.profile.scales:
-            for _t in range(self.profile.phases(h)):
+        for h, budget in self.profile.schedule(graph.n):
+            for _t in range(budget):
                 self.counters.add("phases")
                 records = run_phase(graph, matching, self.profile, h, driver,
                                     counters=self.counters,

@@ -25,13 +25,24 @@ Python process can hold would perform astronomically many no-op passes.
   multiplicative constants and early-exit enabled, used for actually running
   the algorithms.  All approximation-quality tests run against this profile
   and verify the output empirically against the exact optimum.
+
+Every scale loop (the static framework, the weak-oracle framework and the
+semi-streaming algorithm) walks :meth:`ParameterProfile.schedule` rather than
+the raw scales.  At scale ``h`` a phase depends on ``h`` only through
+``structure_limit(h)`` and ``pass_bundles(h)``; once the limit exceeds the
+vertex count and both practical caps bind, every finer scale would re-run the
+same phase.  ``schedule(n)`` merges each such run of scales into one entry
+whose phase budget is the run's total, so an early exit ends the whole run
+instead of retrying the phase at each finer scale.  The ``paper`` profile has
+no early exit; its schedule is the literal one, so the Theorem 1.1 accounting
+is unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 
 #: accepted values of :attr:`ParameterProfile.engine`
@@ -40,10 +51,18 @@ ENGINES = ("array", "reference")
 REPAIR_MODES = ("rebuild", "incremental")
 
 
+#: smallest accepted eps: labels up to ``l_max + 1 = 3/eps + 1`` are stored
+#: in int64 arrays, and ``3 * 2**61 + 1`` is the last such value that fits
+MIN_EPS = 2.0 ** -61
+
+
 def _next_power_of_two_inverse(eps: float) -> float:
     """Round eps down so that 1/eps is a power of two (Section 3 assumption)."""
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
+    if eps < MIN_EPS:
+        raise ValueError(f"eps must be at least 2**-61 = {MIN_EPS!r} so that "
+                         f"l_max + 1 = 3/eps + 1 fits int64, got {eps}")
     k = math.ceil(math.log2(1.0 / eps))
     return 1.0 / (2 ** k)
 
@@ -75,7 +94,8 @@ class ParameterProfile:
     early_exit:
         Allow skipping the remainder of a scale once a phase finds no
         augmentation (sound: phases are deterministic restarts, so an
-        unproductive phase would repeat forever).
+        unproductive phase would repeat forever), and merge runs of scales
+        that repeat the same phase (:meth:`schedule`).
     max_phase_cap, max_bundle_cap:
         Hard caps to keep practical runs bounded.
     backend:
@@ -203,15 +223,42 @@ class ParameterProfile:
     # ------------------------------------------------------------ schedule API
     @staticmethod
     def _scales(eps: float) -> List[float]:
-        scales: List[float] = []
-        h = 0.5
-        floor = (eps ** 2) / 64.0
-        while h >= floor and h > 1e-12:
-            scales.append(h)
-            h /= 2.0
-        if not scales:
-            scales.append(0.5)
-        return scales
+        # eps = 2**-k exactly, so the floor eps^2/64 is 2**-(2k+6)
+        k = round(-math.log2(eps))
+        return [2.0 ** -i for i in range(1, 2 * k + 7)]
+
+    def schedule(self, n: int, scales: Optional[Sequence[float]] = None
+                 ) -> List[Tuple[float, int]]:
+        """The effective ``(h, phase_budget)`` schedule for ``n`` vertices.
+
+        A phase depends on its scale only through ``structure_limit(h)``
+        (which cannot bind once it exceeds ``n``: no structure is larger)
+        and ``pass_bundles(h)``.  Each scale is keyed by
+        ``(min(structure_limit(h), n + 1), pass_bundles(h), phases(h))``
+        and every run of equal consecutive keys becomes one entry: its
+        first scale, with the run's phase budgets summed.  Under early exit
+        a scale whose phase came back empty would only retry the same phase
+        at the next scale of the run, so the run stops there; a scale that
+        used its whole budget still gets the extra phases.  Without early
+        exit (the ``paper`` profile) the literal schedule is returned.
+
+        ``scales`` restricts the walk to a sub-sequence (the dynamic
+        maintainers' warm start passes the last two); default: all scales.
+        """
+        scales = self.scales if scales is None else scales
+        if not self.early_exit:
+            return [(h, self.phases(h)) for h in scales]
+        out: List[Tuple[float, int]] = []
+        last = None
+        for h in scales:
+            key = (min(self.structure_limit(h), n + 1), self.pass_bundles(h),
+                   self.phases(h))
+            if key == last:
+                out[-1] = (out[-1][0], out[-1][1] + key[2])
+            else:
+                out.append((h, key[2]))
+                last = key
+        return out
 
     def phases(self, h: float) -> int:
         """Number of phases at scale ``h``."""

@@ -274,9 +274,11 @@ class WeakOracleBoostingFramework:
         stability argument (at most ``eps/8 * |M|`` updates since the last
         rebuild).  The coarse scales of Algorithm 1 exist to erase large
         deficits, which a warm start cannot have, so the run short-circuits
-        to the finest scales (whose structure-size limit and phase budget
-        dominate the coarser ones); quality is unchanged, the per-rebuild
-        work drops by the skipped scales' phase schedules.
+        to the last two scales.  Like a cold run it walks
+        :meth:`~repro.core.config.ParameterProfile.schedule` over them: when
+        both scales run the same phase (the structure-size limit exceeds
+        ``graph.n`` and the practical caps bind) they merge into one entry
+        with both phase budgets, so two empty phases end the whole rebuild.
 
         ``context`` (a :class:`~repro.core.repair.RepairContext`) enables
         incremental repair: ``initial`` must be the context's mirrored
@@ -299,17 +301,17 @@ class WeakOracleBoostingFramework:
         driver = SamplingOracleDriver(self.weak_oracle, self.profile,
                                       rng=self.rng,
                                       sampling_rounds=self.sampling_rounds)
-        scales = self.profile.scales
+        scales = None
         if warm_start and initial is not None and initial.size > 0:
-            scales = scales[-2:]
+            scales = self.profile.scales[-2:]
             self.counters.add("warm_rebuilds")
         # the graph is fixed for the whole rebuild: share the frozen derived
         # views across its phases (run_phase ignores this under ``context``,
         # whose patched copies already persist between phases)
         views = FrozenViews() if context is None else None
-        for h in scales:
+        for h, budget in self.profile.schedule(graph.n, scales):
             stagnant = 0
-            for _t in range(self.profile.phases(h)):
+            for _t in range(budget):
                 self.counters.add("phases")
                 records = run_phase(graph, matching, self.profile, h, driver,
                                     counters=self.counters,

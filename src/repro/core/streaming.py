@@ -66,9 +66,8 @@ def semi_streaming_matching(graph: Graph, eps: float,
     counters.add("passes")
 
     driver = DirectDriver(rng=rng)
-    for h in profile.scales:
-        num_phases = profile.phases(h)
-        for _t in range(num_phases):
+    for h, budget in profile.schedule(graph.n):
+        for _t in range(budget):
             counters.add("phases")
             records = run_phase(graph, matching, profile, h, driver,
                                 counters=counters,
@@ -77,7 +76,8 @@ def semi_streaming_matching(graph: Graph, eps: float,
             counters.add("matching_gain", gained)
             if profile.early_exit and gained == 0:
                 # A phase is a deterministic restart given (M, h); if it finds
-                # nothing, repeating it at the same scale cannot help.
+                # nothing, repeating it at the same scale -- or at a later
+                # scale merged into this schedule entry -- cannot help.
                 break
 
     return matching
